@@ -52,7 +52,7 @@ void run(std::shared_ptr<RedundancyScheme> scheme, const std::string& label) {
   for (std::uint64_t b = 0; b < kBlocks; ++b) {
     if (disk.read(b) == payload(b)) ++ok_after;
   }
-  const VirtualDisk::Stats& s = disk.stats();
+  const VirtualDisk::Stats s = disk.stats();
   const double overhead =
       static_cast<double>(s.fragments_written) *
       (256.0 / scheme->min_fragments()) / (kBlocks * 256.0);

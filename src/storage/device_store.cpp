@@ -13,38 +13,61 @@ std::size_t FragmentKeyHash::operator()(const FragmentKey& k) const noexcept {
 
 DeviceStore::DeviceStore(Device device) : device_(std::move(device)) {}
 
-void DeviceStore::write(const FragmentKey& key,
+Device DeviceStore::device() const {
+  const ReaderLock lock(mu_);
+  return device_;
+}
+
+std::uint64_t DeviceStore::used() const {
+  const ReaderLock lock(mu_);
+  return data_.size();
+}
+
+std::uint64_t DeviceStore::capacity() const {
+  const ReaderLock lock(mu_);
+  return device_.capacity;
+}
+
+bool DeviceStore::write(const FragmentKey& key,
                         std::vector<std::uint8_t> payload) {
-  if (failed_) {
+  const MutexLock lock(mu_);
+  if (failed()) {
     throw std::runtime_error("DeviceStore: write to failed device " +
                              device_.name);
   }
   const auto it = data_.find(key);
   if (it != data_.end()) {
-    it->second = std::move(payload);  // overwrite in place
-    return;
+    it->second.assign(payload.begin(), payload.end());  // overwrite in place
+    return false;
   }
   if (data_.size() >= device_.capacity) {
     throw std::runtime_error("DeviceStore: device full: " + device_.name);
   }
   data_.emplace(key, std::move(payload));
+  return true;
 }
 
 std::optional<std::vector<std::uint8_t>> DeviceStore::read(
     const FragmentKey& key) const {
-  if (failed_) return std::nullopt;
+  const ReaderLock lock(mu_);
+  if (failed()) return std::nullopt;
   const auto it = data_.find(key);
   if (it == data_.end()) return std::nullopt;
   return it->second;
 }
 
 bool DeviceStore::contains(const FragmentKey& key) const {
-  return !failed_ && data_.contains(key);
+  const ReaderLock lock(mu_);
+  return !failed() && data_.contains(key);
 }
 
-bool DeviceStore::erase(const FragmentKey& key) { return data_.erase(key) > 0; }
+bool DeviceStore::erase(const FragmentKey& key) {
+  const MutexLock lock(mu_);
+  return data_.erase(key) > 0;
+}
 
 std::uint64_t DeviceStore::used_by_volume(std::uint32_t volume) const {
+  const ReaderLock lock(mu_);
   std::uint64_t count = 0;
   for (const auto& [key, payload] : data_) {
     if (key.volume == volume) ++count;
@@ -53,6 +76,7 @@ std::uint64_t DeviceStore::used_by_volume(std::uint32_t volume) const {
 }
 
 void DeviceStore::resize(std::uint64_t new_capacity) {
+  const MutexLock lock(mu_);
   if (new_capacity == 0) {
     throw std::invalid_argument("DeviceStore: zero capacity: " + device_.name);
   }
@@ -64,7 +88,13 @@ void DeviceStore::resize(std::uint64_t new_capacity) {
   device_.capacity = new_capacity;
 }
 
+void DeviceStore::fail() {
+  const MutexLock lock(mu_);
+  failed_.store(true, std::memory_order_release);
+}
+
 bool DeviceStore::corrupt(const FragmentKey& key) {
+  const MutexLock lock(mu_);
   const auto it = data_.find(key);
   if (it == data_.end()) return false;
   if (it->second.empty()) {
@@ -73,6 +103,12 @@ bool DeviceStore::corrupt(const FragmentKey& key) {
     it->second[it->second.size() / 2] ^= 0x5A;
   }
   return true;
+}
+
+void DeviceStore::replace() {
+  const MutexLock lock(mu_);
+  failed_.store(false, std::memory_order_release);
+  data_.clear();
 }
 
 }  // namespace rds

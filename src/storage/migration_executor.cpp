@@ -19,7 +19,6 @@ MigrationExecutor::MigrationExecutor(
     if (!store) {
       throw std::invalid_argument("MigrationExecutor: null store");
     }
-    locks_.try_emplace(uid);
   }
   metrics::Registry& reg = metrics::Registry::global();
   moves_total_ = &reg.counter("rds_migration_executor_moves_total");
@@ -45,11 +44,7 @@ MigrationExecutor::MoveOutcome MigrationExecutor::run_move(
     if (opts_.faults != nullptr && opts_.faults->should_fail(move, attempt)) {
       failed = true;
     } else {
-      std::optional<std::vector<std::uint8_t>> payload;
-      {
-        const MutexLock lock(lock_of(move.from));
-        payload = from.read(key);
-      }
+      std::optional<std::vector<std::uint8_t>> payload = from.read(key);
       if (!payload) {
         // Nothing to move: the fragment was trimmed, never existed, or the
         // source crashed.  Rebuild-from-peers is the layer above's job
@@ -57,13 +52,11 @@ MigrationExecutor::MoveOutcome MigrationExecutor::run_move(
         return MoveOutcome::kSkipped;
       }
       try {
-        const MutexLock lock(lock_of(move.to));
         to.write(key, std::move(*payload));
       } catch (const std::exception&) {
         failed = true;  // destination full or crashed: retry after backoff
       }
       if (!failed) {
-        const MutexLock lock(lock_of(move.from));
         from.erase(key);
         return MoveOutcome::kMoved;
       }

@@ -7,10 +7,10 @@
 // chaos) through the FaultInjector hook; real failures -- a destination
 // store throwing because it is full or crashed -- take the same retry path.
 //
-// Per-device mutexes serialize the store operations of one device while
-// moves on disjoint devices proceed in parallel; the stores themselves stay
-// single-threaded objects.  Locks are taken one at a time (read source /
-// write destination / erase source), never nested, so no ordering issues.
+// Every DeviceStore operation takes the store's own lock, so moves on
+// disjoint devices proceed in parallel and moves sharing a device
+// serialize per operation (read source / write destination / erase
+// source), never holding two stores at once.
 #pragma once
 
 #include <atomic>
@@ -104,15 +104,8 @@ class MigrationExecutor {
   [[nodiscard]] MoveOutcome run_move(const FragmentMove& move,
                                      const CancellationToken& token,
                                      std::uint64_t& retries);
-  [[nodiscard]] Mutex& lock_of(DeviceId uid) { return locks_.at(uid); }
 
-  // One capability per device: MutexLock on lock_of(uid) serializes that
-  // device's store while disjoint devices proceed in parallel.  The
-  // per-device association is runtime state the static analysis cannot
-  // express as a GUARDED_BY, so the stores stay unannotated; the locking
-  // protocol (one lock at a time, never nested) is documented above.
   std::unordered_map<DeviceId, std::shared_ptr<DeviceStore>> stores_;
-  std::unordered_map<DeviceId, Mutex> locks_;
   std::uint32_t volume_id_;
   MigrationExecutorOptions opts_;
 

@@ -12,8 +12,10 @@
 namespace rds {
 namespace {
 
-constexpr char kDiskMagic[] = "RDSDISK1";
-constexpr char kPoolMagic[] = "RDSPOOL1";
+// Version 2: fragment checksums are CRC-32C, stored as u32.  Version 1
+// streams (64-bit FNV-1a checksums) fail with "bad magic/version".
+constexpr char kDiskMagic[] = "RDSDISK2";
+constexpr char kPoolMagic[] = "RDSPOOL2";
 constexpr char kFileStoreMagic[] = "RDSFSTO1";
 
 // ---- little-endian primitives ---------------------------------------------
@@ -115,25 +117,6 @@ ClusterConfig get_config(std::istream& in) {
   return ClusterConfig(std::move(devices));
 }
 
-void put_store(std::ostream& out, const DeviceStore& store) {
-  put_u64(out, store.device().uid);
-  put_u64(out, store.device().capacity);
-  put_string(out, store.device().name);
-  put_u8(out, store.failed() ? 1 : 0);
-  // A failed device's contents are unreadable: persist the flag only.
-  if (store.failed()) {
-    put_u64(out, 0);
-    return;
-  }
-  put_u64(out, store.used());
-  for (const auto& [key, payload] : store.contents()) {
-    put_u64(out, key.block);
-    put_u32(out, key.fragment);
-    put_u32(out, key.volume);
-    put_bytes(out, payload);
-  }
-}
-
 std::shared_ptr<DeviceStore> get_store(std::istream& in) {
   Device d;
   d.uid = get_u64(in);
@@ -155,6 +138,28 @@ std::shared_ptr<DeviceStore> get_store(std::istream& in) {
 
 }  // namespace
 
+void Snapshot::put_store(std::ostream& out, const DeviceStore& store) {
+  // One shared hold for the whole section: the count and the entries come
+  // from the same state even while other volumes' I/O reaches the store.
+  const ReaderLock lock(store.mu_);
+  put_u64(out, store.device_.uid);
+  put_u64(out, store.device_.capacity);
+  put_string(out, store.device_.name);
+  put_u8(out, store.failed() ? 1 : 0);
+  // A failed device's contents are unreadable: persist the flag only.
+  if (store.failed()) {
+    put_u64(out, 0);
+    return;
+  }
+  put_u64(out, store.data_.size());
+  for (const auto& [key, payload] : store.data_) {
+    put_u64(out, key.block);
+    put_u32(out, key.fragment);
+    put_u32(out, key.volume);
+    put_bytes(out, payload);
+  }
+}
+
 void Snapshot::put_volume_meta(std::ostream& out, const VirtualDisk& disk) {
   const MutexLock lock(disk.mu_);
   put_u8(out, static_cast<std::uint8_t>(disk.kind_));
@@ -171,7 +176,7 @@ void Snapshot::put_volume_meta(std::ostream& out, const VirtualDisk& disk) {
     put_u64(out, key.block);
     put_u32(out, key.fragment);
     put_u32(out, key.volume);
-    put_u64(out, sum);
+    put_u32(out, sum);
   }
   // Stats are observability, not state: deliberately not persisted.
 }
@@ -201,7 +206,7 @@ VirtualDisk Snapshot::get_volume_meta(
       key.block = get_u64(in);
       key.fragment = get_u32(in);
       key.volume = get_u32(in);
-      disk.checksums_[key] = get_u64(in);
+      disk.checksums_[key] = get_u32(in);
     }
   }
   return disk;

@@ -4,7 +4,8 @@
 // snapshot behaves identically to the original, including degraded state.
 //
 // Format: little-endian, length-prefixed, versioned magic header.  Not a
-// wire protocol -- a local persistence format with a strict version check.
+// wire protocol -- a local persistence format with a strict version check
+// (disk and pool format version 2: CRC-32C fragment checksums).
 #pragma once
 
 #include <iosfwd>
@@ -47,6 +48,9 @@ class Snapshot {
   static FileStore load_file_store(std::istream& in);
 
  private:
+  // One device store's section (needs DeviceStore friendship: the walk
+  // holds the store's lock).
+  static void put_store(std::ostream& out, const DeviceStore& store);
   // Volume metadata section (needs VirtualDisk friendship; stores are
   // serialized separately so pool snapshots write shared payloads once).
   static void put_volume_meta(std::ostream& out, const VirtualDisk& disk);

@@ -1,15 +1,36 @@
 #include "src/storage/virtual_disk.hpp"
 
 #include <algorithm>
+#include <array>
 #include <stdexcept>
 #include <utility>
 
 #include "src/journal/journal.hpp"
 #include "src/journal/record.hpp"
 #include "src/metrics/scoped_timer.hpp"
-#include "src/util/hash.hpp"
+#include "src/util/crc32.hpp"
 
 namespace rds {
+namespace {
+
+/// Copy locations of one block; no heap allocation for k <= 16.
+class Locations {
+ public:
+  explicit Locations(unsigned k) : k_(k) {
+    if (k > inline_.size()) heap_.resize(k);
+  }
+  [[nodiscard]] std::span<DeviceId> span() noexcept {
+    return heap_.empty() ? std::span<DeviceId>(inline_).first(k_)
+                         : std::span<DeviceId>(heap_);
+  }
+
+ private:
+  unsigned k_;
+  std::array<DeviceId, 16> inline_{};
+  std::vector<DeviceId> heap_;
+};
+
+}  // namespace
 
 VirtualDisk::VirtualDisk(ClusterConfig config,
                          std::shared_ptr<RedundancyScheme> scheme,
@@ -141,24 +162,32 @@ Result<std::uint64_t> VirtualDisk::try_copy_locations(
   return {epoch->epoch};
 }
 
-std::uint64_t VirtualDisk::checksum(
+std::uint32_t VirtualDisk::checksum(
     std::span<const std::uint8_t> payload) noexcept {
-  // FNV-1a over the payload, finalized by mix64 (matches util/hash.hpp's
-  // string hashing; collisions are 2^-64 events, fine for bit-rot checks).
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const std::uint8_t b : payload) {
-    h ^= b;
-    h *= 0x100000001b3ULL;
-  }
-  return mix64(h ^ payload.size());
+  return crc32c(payload);
 }
 
 void VirtualDisk::store_fragment(DeviceId target, std::uint64_t block,
                                  unsigned j, Bytes payload) {
   const FragmentKey key{block, j, volume_id_};
-  checksums_[key] = checksum(payload);
-  stores_.at(target)->write(key, std::move(payload));
-  sync_device_gauge(target);
+  const std::uint32_t sum = checksum(payload);
+  const bool added = stores_.at(target)->write(key, std::move(payload));
+  checksums_[key] = sum;
+  if (added) sync_device_gauge(target);  // an overwrite keeps the load
+}
+
+void VirtualDisk::erase_fragments(std::uint64_t block,
+                                  std::span<const DeviceId> targets,
+                                  unsigned from) {
+  for (unsigned j = from; j < targets.size(); ++j) {
+    const FragmentKey key{block, j, volume_id_};
+    const auto store = stores_.find(targets[j]);
+    if (store != stores_.end()) {
+      store->second->erase(key);
+      sync_device_gauge(targets[j]);
+    }
+    checksums_.erase(key);
+  }
 }
 
 const ReplicationStrategy& VirtualDisk::strategy_for(
@@ -181,26 +210,25 @@ Result<void> VirtualDisk::write_locked(std::uint64_t block,
   } catch (const std::invalid_argument& e) {
     return Error{ErrorCode::kInvalidArgument, e.what()};
   }
+  Locations locations(scheme_->fragment_count());
+  const std::span<DeviceId> targets = locations.span();
   metrics::ScopedTimer placement_span(*placement_latency_ns_);
-  const std::vector<DeviceId> targets = strategy_for(block).place(block);
+  strategy_for(block).place(block, targets);
   placement_span.stop();
   writes_total_->inc();
   written_bytes_total_->inc(data.size());
 
-  // If the block already exists, clear its old fragments first (it may have
-  // been written under a previous configuration).
-  if (blocks_.contains(block)) {
-    for (unsigned j = 0; j < scheme_->fragment_count(); ++j) {
-      for (auto& [uid, store] : stores_) store->erase({block, j, volume_id_});
-      checksums_.erase({block, j, volume_id_});
-    }
-  }
+  // Fragment j of a written block lives on targets[j] (migration keeps
+  // every fragment at its placement), so an overwrite replaces each one in
+  // place.
   for (unsigned j = 0; j < scheme_->fragment_count(); ++j) {
     try {
       store_fragment(targets[j], block, j, std::move(fragments[j]));
     } catch (const std::runtime_error& e) {
-      // Device full or crashed.  Fragments stored before the failure stay
-      // (same partial state the throwing path always left).
+      // Device full or crashed.  Fragments before j hold the new data; drop
+      // j and later ones, which may still hold the old data, so no read can
+      // decode a mix of the two.
+      erase_fragments(block, targets, j);
       return Error{ErrorCode::kIoError, e.what()};
     }
     ++stats_.fragments_written;
@@ -214,50 +242,66 @@ void VirtualDisk::write(std::uint64_t block,
   try_write(block, data).value_or_throw();
 }
 
+std::optional<Bytes> VirtualDisk::fetch_fragment(std::uint64_t block,
+                                                 unsigned j,
+                                                 DeviceId device) const {
+  const auto store = stores_.find(device);
+  if (store == stores_.end()) return std::nullopt;
+  const FragmentKey key{block, j, volume_id_};
+  std::optional<Bytes> fragment = store->second->read(key);
+  if (!fragment) return std::nullopt;
+  const auto sum = checksums_.find(key);
+  if (sum != checksums_.end() && sum->second != checksum(*fragment)) {
+    // Bit rot: a corrupt fragment is worse than a missing one -- drop it
+    // so the decoder reconstructs from healthy peers.
+    read_tallies_->checksum_failures.inc();
+    checksum_failures_total_->inc();
+    return std::nullopt;
+  }
+  return fragment;
+}
+
 std::vector<std::optional<Bytes>> VirtualDisk::gather_fragments(
-    std::uint64_t block, std::span<const DeviceId> locations) {
+    std::uint64_t block, std::span<const DeviceId> locations) const {
   std::vector<std::optional<Bytes>> fragments(scheme_->fragment_count());
   for (unsigned j = 0; j < scheme_->fragment_count(); ++j) {
-    const auto it = stores_.find(locations[j]);
-    if (it == stores_.end()) continue;
-    fragments[j] = it->second->read({block, j, volume_id_});
-    if (!fragments[j]) continue;
-    const auto sum = checksums_.find({block, j, volume_id_});
-    if (sum != checksums_.end() && sum->second != checksum(*fragments[j])) {
-      // Bit rot: a corrupt fragment is worse than a missing one -- drop it
-      // so the decoder reconstructs from healthy peers.
-      fragments[j].reset();
-      ++stats_.checksum_failures;
-      checksum_failures_total_->inc();
-    }
+    fragments[j] = fetch_fragment(block, j, locations[j]);
   }
   return fragments;
 }
 
 Result<std::vector<std::uint8_t>> VirtualDisk::try_read(std::uint64_t block) {
-  const MutexLock lock(mu_);
+  const ReaderLock lock(mu_);
   return read_locked(block);
 }
 
 Result<std::vector<std::uint8_t>> VirtualDisk::read_locked(
-    std::uint64_t block) {
+    std::uint64_t block) const {
   const auto size_it = blocks_.find(block);
   if (size_it == blocks_.end()) {
     return Error{ErrorCode::kNotFound, "VirtualDisk: block never written"};
   }
+  Locations locations(scheme_->fragment_count());
+  const std::span<DeviceId> targets = locations.span();
   metrics::ScopedTimer placement_span(*placement_latency_ns_);
-  const std::vector<DeviceId> targets = strategy_for(block).place(block);
+  strategy_for(block).place(block, targets);
   placement_span.stop();
-  const std::vector<std::optional<Bytes>> fragments =
-      gather_fragments(block, targets);
-
-  const auto present = static_cast<unsigned>(std::ranges::count_if(
-      fragments, [](const auto& f) { return f.has_value(); }));
-  if (present < scheme_->min_fragments()) {
+  // Copy identification tells which device holds copy j, so a healthy read
+  // fetches and verifies copies 0..min_fragments()-1 and nothing else.
+  const unsigned k = scheme_->fragment_count();
+  const unsigned need = scheme_->min_fragments();
+  std::vector<std::optional<Bytes>> fragments(k);
+  unsigned fetched = 0;
+  unsigned valid = 0;
+  for (; fetched < k && valid < need; ++fetched) {
+    fragments[fetched] = fetch_fragment(block, fetched, targets[fetched]);
+    if (fragments[fetched]) ++valid;
+  }
+  if (valid < need) {
     return Error{ErrorCode::kUnrecoverable, "VirtualDisk: block unrecoverable"};
   }
-  if (present < scheme_->fragment_count()) {
-    ++stats_.degraded_reads;
+  if (fetched > valid) {  // a copy was missing or corrupt: fell back
+    read_tallies_->degraded_reads.inc();
     degraded_reads_total_->inc();
   }
   reads_total_->inc();
@@ -279,15 +323,7 @@ Result<void> VirtualDisk::trim_locked(std::uint64_t block) {
   if (it == blocks_.end()) {
     return Error{ErrorCode::kNotFound, "VirtualDisk: block never written"};
   }
-  const std::vector<DeviceId> targets = strategy_for(block).place(block);
-  for (unsigned j = 0; j < scheme_->fragment_count(); ++j) {
-    const auto store = stores_.find(targets[j]);
-    if (store != stores_.end()) {
-      store->second->erase({block, j, volume_id_});
-      sync_device_gauge(targets[j]);
-    }
-    checksums_.erase({block, j, volume_id_});
-  }
+  erase_fragments(block, strategy_for(block).place(block), 0);
   blocks_.erase(it);
   pending_.erase(block);
   return {};

@@ -7,16 +7,20 @@
 // moves only the fragments the placement diff says must move; lost fragments
 // are rebuilt from the surviving ones through the scheme.
 //
-// Concurrency model (docs/api.md, "Concurrency guarantees"): block I/O and
-// topology mutations are serialized by an internal mutex (`mu_`), so any
-// number of threads may call them -- one at a time gets in.  Placement
-// lookups (place(), placement_snapshot()) are lock-free and may run from any
-// number of threads concurrently with that writer: they read an immutable
+// Concurrency model (docs/api.md, "Concurrency guarantees"): writes, trims
+// and topology mutations hold an internal mutex (`mu_`) exclusively, so one
+// at a time gets in.  Reads hold it shared: any number of reads run at once
+// and wait only for writers (a waiting writer holds off new reads).
+// Volumes of one StoragePool may do I/O concurrently -- the DeviceStores
+// they share carry their own lock.  Placement lookups (place(),
+// placement_snapshot()) are lock-free and may run from any number of
+// threads concurrently with that writer: they read an immutable
 // PlacementEpoch published by shared_ptr-RCU, so every lookup sees one
 // consistent (strategy, config) pair even in the middle of apply_config.
 // The locking discipline is machine-checked: every mutable field is
-// RDS_GUARDED_BY(mu_) and the build enforces -Werror=thread-safety under
-// Clang (docs/static_analysis.md).
+// RDS_GUARDED_BY(mu_) (the read path's tallies are atomics) and the build
+// enforces -Werror=thread-safety under Clang, which rejects a write to a
+// guarded member under a shared hold (docs/static_analysis.md).
 #pragma once
 
 #include <cstdint>
@@ -66,9 +70,11 @@ class VirtualDisk {
     std::uint64_t fragments_moved = 0;     ///< by migrations
     std::uint64_t bytes_moved = 0;
     std::uint64_t fragments_rebuilt = 0;   ///< reconstructed from peers
-    std::uint64_t degraded_reads = 0;      ///< reads that needed decoding
-                                           ///< around missing fragments
+    std::uint64_t degraded_reads = 0;      ///< reads that met a missing or
+                                           ///< corrupt copy and fell back
     std::uint64_t checksum_failures = 0;   ///< corrupt fragments detected
+                                           ///< (by reads, scrub, repair,
+                                           ///< migration)
     std::uint64_t fragments_repaired = 0;  ///< restored by repair()
   };
 
@@ -103,17 +109,21 @@ class VirtualDisk {
   // exception types.  The legacy names below each one are thin throwing
   // wrappers (value_or_throw) kept for existing call sites.
 
-  /// Stores a logical block.  kInvalidArgument when the payload does not
-  /// fit the fragment budget, kIoError when a device store rejects a
-  /// fragment (full / crashed) -- in that case fragments written before the
-  /// failure remain, exactly as the throwing path always behaved.
+  /// Stores a logical block, overwriting its fragments in place.
+  /// kInvalidArgument when the payload does not fit the fragment budget,
+  /// kIoError when a device store rejects a fragment (full / crashed) -- in
+  /// that case fragments written before the failure hold the new data and
+  /// the failed fragment and all later ones are erased, so a later read
+  /// never decodes a mix of old and new fragments.
   [[nodiscard]] Result<void> try_write(std::uint64_t block,
                                        std::span<const std::uint8_t> data)
       RDS_EXCLUDES(mu_);
 
-  /// Reads a block back, reconstructing around failed devices.  kNotFound
-  /// for never-written blocks, kUnrecoverable when too few fragments
-  /// survive.
+  /// Reads a block back under a shared hold of the disk lock.  Fetches and
+  /// verifies copies in copy-index order and stops at min_fragments() valid
+  /// ones; a missing or corrupt copy makes it fall back to the next one
+  /// (a degraded read).  kNotFound for never-written blocks,
+  /// kUnrecoverable when too few fragments survive.
   [[nodiscard]] Result<std::vector<std::uint8_t>> try_read(std::uint64_t block)
       RDS_EXCLUDES(mu_);
 
@@ -291,11 +301,13 @@ class VirtualDisk {
   /// number of fragments repaired; unrecoverable blocks are left alone.
   std::uint64_t repair() RDS_EXCLUDES(mu_);
 
-  /// Owner-thread view of the stats.  The reference stays valid for the
-  /// disk's lifetime; read it while no mutator runs concurrently.
-  [[nodiscard]] const Stats& stats() const RDS_EXCLUDES(mu_) {
+  /// A consistent copy of the stats.
+  [[nodiscard]] Stats stats() const RDS_EXCLUDES(mu_) {
     const MutexLock lock(mu_);
-    return stats_;
+    Stats out = stats_;
+    out.degraded_reads = read_tallies_->degraded_reads.value();
+    out.checksum_failures = read_tallies_->checksum_failures.value();
+    return out;
   }
   /// Committed configuration; same validity rule as stats().  Concurrent
   /// readers should use placement_snapshot()->config instead.
@@ -356,7 +368,7 @@ class VirtualDisk {
                                           std::span<const std::uint8_t> data)
       RDS_REQUIRES(mu_);
   [[nodiscard]] Result<std::vector<std::uint8_t>> read_locked(
-      std::uint64_t block) RDS_REQUIRES(mu_);
+      std::uint64_t block) const RDS_REQUIRES_SHARED(mu_);
   [[nodiscard]] Result<void> trim_locked(std::uint64_t block)
       RDS_REQUIRES(mu_);
   [[nodiscard]] Result<std::size_t> begin_reshape_locked(ClusterConfig next)
@@ -379,24 +391,37 @@ class VirtualDisk {
   /// The strategy that currently governs `block` (old placement while the
   /// block awaits reshaping, the target placement otherwise).
   [[nodiscard]] const ReplicationStrategy& strategy_for(
-      std::uint64_t block) const RDS_REQUIRES(mu_);
+      std::uint64_t block) const RDS_REQUIRES_SHARED(mu_);
 
   /// Moves one block's fragments from `strategy_` to `next_strategy_`.
   void reshape_block(std::uint64_t block) RDS_REQUIRES(mu_);
 
-  /// Reads all currently reachable, checksum-valid fragments of a block;
-  /// corrupt fragments count as missing (and bump the failure stat).
-  [[nodiscard]] std::vector<std::optional<Bytes>> gather_fragments(
-      std::uint64_t block, std::span<const DeviceId> locations)
-      RDS_REQUIRES(mu_);
+  /// Fetches fragment j of `block` from `device` and verifies it against
+  /// the recorded checksum.  nullopt when the copy is missing or corrupt;
+  /// a corrupt copy bumps the checksum-failure tallies.
+  [[nodiscard]] std::optional<Bytes> fetch_fragment(std::uint64_t block,
+                                                    unsigned j,
+                                                    DeviceId device) const
+      RDS_REQUIRES_SHARED(mu_);
 
-  /// Checksum over a fragment payload (placement-independent).
-  [[nodiscard]] static std::uint64_t checksum(
+  /// Fetches and verifies every fragment of a block (scrub, repair,
+  /// migration); corrupt fragments count as missing.
+  [[nodiscard]] std::vector<std::optional<Bytes>> gather_fragments(
+      std::uint64_t block, std::span<const DeviceId> locations) const
+      RDS_REQUIRES_SHARED(mu_);
+
+  /// CRC-32C of a fragment payload (placement-independent).
+  [[nodiscard]] static std::uint32_t checksum(
       std::span<const std::uint8_t> payload) noexcept;
 
   /// Stores fragment j of `block` with its checksum recorded.
   void store_fragment(DeviceId target, std::uint64_t block, unsigned j,
                       Bytes payload) RDS_REQUIRES(mu_);
+
+  /// Erases fragments [from, k) of `block` from `targets` with their
+  /// checksums (the state a failed write leaves behind).
+  void erase_fragments(std::uint64_t block, std::span<const DeviceId> targets,
+                       unsigned from) RDS_REQUIRES(mu_);
 
   /// Resolves the registry instruments (both constructors).
   void init_metrics();
@@ -404,9 +429,10 @@ class VirtualDisk {
   /// Updates `uid`'s load gauge from its store (no-op for unknown uids).
   void sync_device_gauge(DeviceId uid) const RDS_REQUIRES(mu_);
 
-  /// Serializes block I/O and topology mutations; mutable so const
-  /// observers (stats(), used_on(), ...) can take it.  place() and
-  /// placement_snapshot() never touch it -- they read `published_`.
+  /// Held exclusively by writes, trims and topology mutations, shared by
+  /// reads; mutable so const observers (stats(), used_on(), ...) can take
+  /// it.  place() and placement_snapshot() never touch it -- they read
+  /// `published_`.
   mutable Mutex mu_;
 
   ClusterConfig config_ RDS_GUARDED_BY(mu_);
@@ -424,9 +450,18 @@ class VirtualDisk {
       RDS_GUARDED_BY(mu_);
   std::unordered_map<std::uint64_t, std::size_t> blocks_
       RDS_GUARDED_BY(mu_);  // block -> size
-  std::unordered_map<FragmentKey, std::uint64_t, FragmentKeyHash> checksums_
+  std::unordered_map<FragmentKey, std::uint32_t, FragmentKeyHash> checksums_
       RDS_GUARDED_BY(mu_);
+  // Every stat but the read path's two tallies, which live in
+  // `read_tallies_`.
   Stats stats_ RDS_GUARDED_BY(mu_);
+  // Bumped by reads under a shared hold of `mu_`, hence atomic; heap-held
+  // so the disk stays movable (like Mutex).
+  struct ReadTallies {
+    metrics::Counter degraded_reads;
+    metrics::Counter checksum_failures;
+  };
+  std::unique_ptr<ReadTallies> read_tallies_ = std::make_unique<ReadTallies>();
 
   // Registry-owned instruments (process lifetime; see docs/metrics.md).
   // Written once by init_metrics() before the disk is shared, internally

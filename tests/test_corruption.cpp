@@ -41,7 +41,60 @@ TEST(Corruption, ErasureReadsAroundCorruptFragment) {
   ASSERT_TRUE(disk.corrupt_fragment(7, 2));
   ASSERT_TRUE(disk.corrupt_fragment(7, 5));
   EXPECT_EQ(disk.read(7), payload(7));
-  EXPECT_EQ(disk.stats().checksum_failures, 2u);
+  // The read stops at four valid fragments (0, 1, 3, 4): fragment 5 is
+  // never fetched, so only fragment 2's corruption is seen.
+  EXPECT_EQ(disk.stats().checksum_failures, 1u);
+  // Scrub and repair verify every fragment and find both.
+  EXPECT_EQ(disk.scrub().degraded_blocks, 1u);
+  EXPECT_EQ(disk.repair(), 2u);
+}
+
+TEST(Corruption, MirrorReadFallsBackPastCorruptFirstCopy) {
+  VirtualDisk disk(pool(), std::make_shared<MirroringScheme>(3));
+  disk.write(5, payload(5));
+  ASSERT_TRUE(disk.corrupt_fragment(5, 0));
+  EXPECT_EQ(disk.read(5), payload(5));  // copy 1 serves
+  EXPECT_EQ(disk.stats().checksum_failures, 1u);
+  EXPECT_EQ(disk.stats().degraded_reads, 1u);
+}
+
+TEST(Corruption, UnreadMirrorCopyIsFoundByScrubNotByReads) {
+  VirtualDisk disk(pool(), std::make_shared<MirroringScheme>(3));
+  disk.write(5, payload(5));
+  ASSERT_TRUE(disk.corrupt_fragment(5, 2));
+  // A healthy read verifies copy 0 only: not degraded, nothing detected.
+  EXPECT_EQ(disk.read(5), payload(5));
+  EXPECT_EQ(disk.stats().degraded_reads, 0u);
+  EXPECT_EQ(disk.stats().checksum_failures, 0u);
+  const VirtualDisk::ScrubReport report = disk.scrub();
+  EXPECT_EQ(report.degraded_blocks, 1u);
+  EXPECT_EQ(disk.repair(), 1u);
+  EXPECT_TRUE(disk.scrub().clean());
+  EXPECT_EQ(disk.read(5), payload(5));
+}
+
+TEST(Corruption, FailedOverwriteNeverDecodesAMix) {
+  // An overwrite that dies at fragment j leaves fragments < j new and
+  // erases the rest; whichever fragments a later read combines, it
+  // returns the old bytes, the new bytes or a typed error.
+  const Bytes old_bytes = payload(1);
+  const Bytes new_bytes = payload(2);
+  ASSERT_NE(old_bytes, new_bytes);
+  for (unsigned j = 0; j < 6; ++j) {
+    VirtualDisk disk(pool(), std::make_shared<ReedSolomonScheme>(4, 2));
+    disk.write(9, old_bytes);
+    disk.fail_device(disk.copy_locations(9).devices[j]);
+    const Result<void> written = disk.try_write(9, new_bytes);
+    ASSERT_FALSE(written.ok());
+    EXPECT_EQ(written.code(), ErrorCode::kIoError);
+    const Result<Bytes> got = disk.try_read(9);
+    if (got.ok()) {
+      EXPECT_TRUE(got.value() == old_bytes || got.value() == new_bytes)
+          << "fragment " << j << ": read decoded a mix";
+    } else {
+      EXPECT_EQ(got.code(), ErrorCode::kUnrecoverable) << "fragment " << j;
+    }
+  }
 }
 
 TEST(Corruption, TooManyCorruptFragmentsIsUnrecoverable) {

@@ -28,6 +28,14 @@ TEST(DeviceStore, OverwriteKeepsUsage) {
   EXPECT_EQ(store.read({1, 0})->size(), 2u);
 }
 
+TEST(DeviceStore, WriteReportsWhetherTheKeyIsNew) {
+  DeviceStore store({1, 2, "d"});
+  EXPECT_TRUE(store.write({1, 0}, {1}));
+  EXPECT_FALSE(store.write({1, 0}, {2, 3}));  // overwritten in place
+  EXPECT_EQ(store.read({1, 0}), (std::vector<std::uint8_t>{2, 3}));
+  EXPECT_EQ(store.used(), 1u);
+}
+
 TEST(DeviceStore, CapacityEnforced) {
   DeviceStore store({1, 2, "d"});
   store.write({1, 0}, {});

@@ -181,6 +181,31 @@ TEST(RdsAnalyze, LockHeldAcrossCallPassesOutsideGuard) {
   EXPECT_TRUE(analyze_fixture("lock_across_call_good.cpp").empty());
 }
 
+TEST(RdsAnalyze, ReaderLockIsAHoldOnTheSameMutex) {
+  // A shared hold blocks writers like an exclusive one: blocking under it
+  // trips the same rule, attributed to the same capability.
+  const auto findings = analyze_fixture("reader_lock_bad.cpp");
+  ASSERT_EQ(findings.size(), 1u);
+  EXPECT_EQ(findings[0].rule, "lock-held-across-call");
+  EXPECT_EQ(findings[0].line, 12);
+  EXPECT_NE(findings[0].message.find("Cache::mu_"), std::string::npos);
+  EXPECT_NE(findings[0].message.find("sleep"), std::string::npos);
+}
+
+TEST(RdsAnalyze, ReaderLockCoversGuardedReads) {
+  // A member read only under ReaderLock still holds its declared lock
+  // (no annotation-drift), and nothing blocks inside either guard.
+  EXPECT_TRUE(analyze_fixture("reader_lock_good.cpp").empty());
+}
+
+TEST(RdsAnalyze, StandardLibraryReceiversStayOutOfTheLockGraph) {
+  // `out_->write(...)` on a std::ostream* member and `sink.write(...)` on
+  // a std::ostream& parameter must not resolve to a project method of the
+  // same name that takes a lock (here Volume::write): that phantom edge
+  // would close a Volume -> Log -> Volume cycle.
+  EXPECT_TRUE(analyze_fixture("std_receiver_good.cpp").empty());
+}
+
 TEST(RdsAnalyze, LockHeldAcrossHelperTripsInterprocedurally) {
   // The callee blocks unguarded; the pairing is created at the call site.
   const auto findings = analyze_fixture("lock_across_helper_bad.cpp");

@@ -353,5 +353,68 @@ TEST(Recovery, CorruptCheckpointBodyIsCorruption) {
   EXPECT_NE(recovered.error().message.find("checkpoint"), std::string::npos);
 }
 
+/// `bytes` with the 8-byte snapshot magic at `at` (expected to read
+/// `current`) turned back into its version-1 spelling.
+std::string as_version_one(std::string bytes, std::size_t at,
+                           const std::string& current) {
+  EXPECT_EQ(bytes.substr(at, 8), current);
+  bytes[at + 7] = '1';
+  return bytes;
+}
+
+TEST(Recovery, VersionOneSnapshotIsRejected) {
+  // Version 2 stores CRC-32C fragment checksums; a version-1 stream (FNV-1a
+  // values) must fail up front instead of loading a volume whose every
+  // read fails verification.
+  VirtualDisk disk(base_config(), std::make_shared<MirroringScheme>(2));
+  disk.write(1, payload(1, 9));
+  StoragePool pool(base_config());
+  pool.create_volume("a", std::make_shared<ReedSolomonScheme>(3, 2))
+      .write(1, payload(1, 9));
+  const auto expect_bad_version = [](auto&& load, const std::string& bytes) {
+    std::stringstream in(bytes);
+    try {
+      (void)load(in);
+      ADD_FAILURE() << "a version-1 snapshot loaded";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("bad magic/version"),
+                std::string::npos)
+          << e.what();
+    }
+  };
+
+  std::stringstream disk_out;
+  Snapshot::save_disk(disk, disk_out);
+  expect_bad_version([](std::istream& in) { return Snapshot::load_disk(in); },
+                     as_version_one(disk_out.str(), 0, "RDSDISK2"));
+  std::stringstream pool_out;
+  Snapshot::save_pool(pool, pool_out);
+  expect_bad_version([](std::istream& in) { return Snapshot::load_pool(in); },
+                     as_version_one(pool_out.str(), 0, "RDSPOOL2"));
+
+  // Behind a checkpoint header (magic, watermark, CRC: 20 bytes) recovery
+  // reports the same failure as kCorruption.
+  constexpr std::size_t kHeader = 20;
+  std::stringstream disk_ckpt;
+  write_checkpoint(disk, 0, disk_ckpt);
+  std::stringstream disk_v1(
+      as_version_one(disk_ckpt.str(), kHeader, "RDSDISK2"));
+  const auto disk_recovered = Recovery::recover_disk(disk_v1, nullptr);
+  ASSERT_FALSE(disk_recovered.ok());
+  EXPECT_EQ(disk_recovered.error().code, ErrorCode::kCorruption);
+  EXPECT_NE(disk_recovered.error().message.find("bad magic/version"),
+            std::string::npos);
+
+  std::stringstream pool_ckpt;
+  write_checkpoint(pool, 0, pool_ckpt);
+  std::stringstream pool_v1(
+      as_version_one(pool_ckpt.str(), kHeader, "RDSPOOL2"));
+  const auto pool_recovered = Recovery::recover_pool(pool_v1, nullptr);
+  ASSERT_FALSE(pool_recovered.ok());
+  EXPECT_EQ(pool_recovered.error().code, ErrorCode::kCorruption);
+  EXPECT_NE(pool_recovered.error().message.find("bad magic/version"),
+            std::string::npos);
+}
+
 }  // namespace
 }  // namespace rds::journal

@@ -82,6 +82,33 @@ TEST(AnnotatedLocks, TryLockReportsContention) {
   outsider.join();
 }
 
+TEST(AnnotatedLocks, ReaderLocksShareAndExcludeWriters) {
+  rds::Mutex mu;
+  // Its own function scope: the analysis must not see this exclusive
+  // attempt nested inside a shared hold of the same mutex.
+  const auto writer_gets_in = [&mu] {
+    const bool acquired = mu.try_lock();
+    if (acquired) mu.unlock();
+    return acquired;
+  };
+  {
+    const rds::ReaderLock reader(mu);
+    bool second_reader = false;
+    bool writer = true;
+    std::thread outsider([&] {
+      {
+        const rds::ReaderLock inner(mu);  // readers coexist ...
+        second_reader = true;
+      }
+      writer = writer_gets_in();  // ... a writer waits for them
+    });
+    outsider.join();
+    EXPECT_TRUE(second_reader);
+    EXPECT_FALSE(writer);
+  }
+  EXPECT_TRUE(writer_gets_in());
+}
+
 TEST(AnnotatedLocks, CondVarHandsOffUnderLock) {
   rds::Mutex mu;
   rds::CondVar cv;

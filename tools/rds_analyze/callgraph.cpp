@@ -231,6 +231,24 @@ std::map<std::string, std::string> collect_types(
   std::map<std::string, std::string> types;
   const auto scan = [&](const std::vector<Tok>& toks) {
     for (std::size_t i = 0; i + 1 < toks.size(); ++i) {
+      // `std::ostream& out`: a plain standard-library type, typed "std" --
+      // a type no class defines, so calls through `out` resolve to nothing.
+      if (is_ident(toks[i], "std") && i + 3 < toks.size() &&
+          is_punct(toks[i + 1], "::") && toks[i + 2].kind == Kind::kIdent &&
+          !classes.contains(toks[i + 2].text)) {
+        std::size_t j = i + 3;
+        while (j < toks.size() &&
+               (is_punct(toks[j], "&") || is_punct(toks[j], "*") ||
+                is_ident(toks[j], "const"))) {
+          ++j;
+        }
+        if (j + 1 < toks.size() && toks[j].kind == Kind::kIdent &&
+            (is_punct(toks[j + 1], ",") || is_punct(toks[j + 1], ")") ||
+             is_punct(toks[j + 1], "=") || is_punct(toks[j + 1], ";"))) {
+          types.try_emplace(toks[j].text, "std");
+        }
+        continue;
+      }
       if (toks[i].kind != Kind::kIdent || !classes.contains(toks[i].text)) {
         continue;
       }
@@ -288,11 +306,19 @@ std::set<std::string> collect_local_mutexes(const Function& fn) {
   return out;
 }
 
+/// The RAII guards the tracker models: MutexLock holds a Mutex
+/// exclusively, ReaderLock shared.  Both hold the same capability, so the
+/// lock graph, lockset and blocking rules treat them alike.
+bool is_scoped_lock(const Tok& t) {
+  return is_ident(t, "MutexLock") || is_ident(t, "ReaderLock");
+}
+
 bool call_excluded(const std::string& name) {
   static const std::set<std::string> kNotCalls = {
       "if",     "while",    "for",     "switch",   "catch",   "sizeof",
       "alignof", "decltype", "noexcept", "static_assert", "alignas",
-      "return", "throw",    "new",     "delete",   "MutexLock"};
+      "return", "throw",    "new",     "delete",   "MutexLock",
+      "ReaderLock"};
   return kNotCalls.contains(name) || name.starts_with("RDS_");
 }
 
@@ -363,7 +389,7 @@ FnFacts collect_fn_facts(const Function& fn, const std::string& cls_prefix,
       ++i;
       continue;
     }
-    if (is_ident(t, "MutexLock")) {
+    if (is_scoped_lock(t)) {
       std::size_t j = i + 1;
       std::string var;
       if (j < b.size() && b[j].kind == Kind::kIdent) {
@@ -655,6 +681,16 @@ CallGraph CallGraph::build(const std::vector<FileModel>& files) {
       }
     }
   }
+  for (const FileModel& fm : files) {
+    for (const MemberDecl& md : fm.members) {
+      if (md.type_idents.empty() || md.type_idents.front() != "std") continue;
+      if (std::ranges::none_of(md.type_idents, [&](const std::string& s) {
+            return g.classes_.contains(s);
+          })) {
+        g.std_members_[md.cls].insert(md.name);
+      }
+    }
+  }
   for (auto& [cls, bases] : g.bases_) {
     std::sort(bases.begin(), bases.end());
     bases.erase(std::unique(bases.begin(), bases.end()), bases.end());
@@ -734,7 +770,12 @@ CallGraph CallGraph::build(const std::vector<FileModel>& files) {
       if (entry_locks.empty() && m.requires_lock && !fn.cls.empty()) {
         entry_locks.push_back(fn.cls + "::mu_");
       }
-      const auto types = collect_types(fn, g.classes_, g.methods_);
+      auto types = collect_types(fn, g.classes_, g.methods_);
+      const auto std_it = g.std_members_.find(fn.cls);
+      if (std_it != g.std_members_.end()) {
+        // A type no class defines: resolve() finds no candidates.
+        for (const std::string& m : std_it->second) types.try_emplace(m, "std");
+      }
       const auto local_mutexes = collect_local_mutexes(fn);
       FnFacts facts =
           collect_fn_facts(fn, fn.cls, entry_locks, types, local_mutexes);

@@ -179,6 +179,10 @@ class CallGraph {
   std::map<std::string, std::vector<std::string>> bases_;  ///< direct bases
   std::map<std::string, std::set<std::string>> derived_;
   std::set<std::string> rcu_members_;
+  /// class -> data members declared with a standard-library type that
+  /// names no project class (`std::ostream* out_`): calls through them
+  /// never reach project methods.
+  std::map<std::string, std::set<std::string>> std_members_;
   std::set<std::string> types_via_factory_;  ///< interface classes factories
                                              ///< hand out (edge labeling)
   std::map<const Function*, FnFacts> facts_;

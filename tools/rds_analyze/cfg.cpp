@@ -217,8 +217,10 @@ Declaration make_declaration(const std::vector<const Tok*>& decl,
   const std::size_t n = decl.size();
   d.abstract = n >= 2 && decl[n - 2]->text == "=" && decl[n - 1]->text == "0";
   d.locking = has_ident(decl, "RDS_EXCLUDES");
-  d.requires_lock =
-      has_ident(decl, "RDS_REQUIRES") || d.name.ends_with("_locked");
+  // A shared requirement names the same capability as an exclusive one.
+  d.requires_lock = has_ident(decl, "RDS_REQUIRES") ||
+                    has_ident(decl, "RDS_REQUIRES_SHARED") ||
+                    d.name.ends_with("_locked");
   for (std::size_t i = 0; i < sig.paren && i < decl.size(); ++i) {
     const Tok& t = *decl[i];
     if (t.kind == Kind::kIdent && t.text == "Result") d.returns_result = true;
@@ -233,9 +235,12 @@ Declaration make_declaration(const std::vector<const Tok*>& decl,
   if (has_ident(decl, "shared_ptr") || has_ident(decl, "unique_ptr")) {
     d.returns_raw = false;  // owning smart pointer, not a borrowed view
   }
-  // RDS_REQUIRES(mu_, other_mu_): capture the named locks.
+  // RDS_REQUIRES(mu_, other_mu_) / RDS_REQUIRES_SHARED(mu_): capture the
+  // named locks.
   for (std::size_t i = 0; i + 1 < decl.size(); ++i) {
-    if (decl[i]->kind != Kind::kIdent || decl[i]->text != "RDS_REQUIRES" ||
+    if (decl[i]->kind != Kind::kIdent ||
+        (decl[i]->text != "RDS_REQUIRES" &&
+         decl[i]->text != "RDS_REQUIRES_SHARED") ||
         decl[i + 1]->text != "(") {
       continue;
     }
@@ -300,6 +305,10 @@ MemberDecl parse_member_decl(const std::vector<const Tok*>& decl,
     if (s == "static") m.is_static = true;
     if (s == "function") m.is_callback = true;
     if (decl[i]->kind == Kind::kPunct && s == "*") m.is_pointer = true;
+    if (decl[i]->kind == Kind::kIdent && s != "const" && s != "constexpr" &&
+        s != "static" && s != "mutable" && s != "inline") {
+      m.type_idents.push_back(s);
+    }
   }
   // RDS_GUARDED_BY(mu_) / RDS_PT_GUARDED_BY(mu_): first argument ident.
   for (std::size_t i = name_at + 1; i + 2 < decl.size(); ++i) {

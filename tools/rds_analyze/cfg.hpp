@@ -76,6 +76,9 @@ struct MemberDecl {
   bool is_pointer = false;   ///< raw pointer declarator at top level
   bool is_callback = false;  ///< std::function<...> (storable closure)
   std::string guarded_by;    ///< RDS_GUARDED_BY(x) argument, or ""
+  /// Identifiers of the declared type, in order, qualifiers dropped
+  /// (`std::ostream* out_` -> {"std", "ostream"}).
+  std::vector<std::string> type_idents;
 };
 
 /// Everything rds_analyze keeps per translation unit.

@@ -575,7 +575,7 @@ int cmd_simulate(const Args& args) {
   TraceRunner runner(
       VirtualDisk(config_from(args.caps), parse_scheme(args.scheme)));
   const TraceStats stats = runner.run(script);
-  const VirtualDisk::Stats& disk = runner.disk().stats();
+  const VirtualDisk::Stats disk = runner.disk().stats();
   runner.disk().publish_device_gauges();
   std::cout << "commands executed:   " << stats.commands << '\n'
             << "blocks written:      " << stats.blocks_written << '\n'
