@@ -9,9 +9,12 @@
 // bm_factory_* rows construct through make_replication_strategy, i.e. the
 // exact path VirtualDisk::apply_config takes; the perf ratchet's headline
 // speedup check (precomputed vs redundant-share, docs/benchmarks.md) reads
-// those rows.
+// those rows.  bm_disk_place and bm_counter_inc sweep threads over one
+// shared VirtualDisk / metrics Counter: the placement read path's thread
+// scaling, end to end and for its metrics layer.
 #include <benchmark/benchmark.h>
 
+#include <atomic>
 #include <memory>
 #include <numeric>
 #include <vector>
@@ -20,6 +23,7 @@
 #include "src/core/fast_redundant_share.hpp"
 #include "src/core/precomputed_redundant_share.hpp"
 #include "src/core/redundant_share.hpp"
+#include "src/metrics/counter.hpp"
 #include "src/placement/batch_placer.hpp"
 #include "src/placement/consistent_hashing.hpp"
 #include "src/placement/rendezvous.hpp"
@@ -28,6 +32,8 @@
 #include "src/placement/strategy_factory.hpp"
 #include "src/placement/trivial_replication.hpp"
 #include "src/placement/weighted_dht.hpp"
+#include "src/storage/redundancy_scheme.hpp"
+#include "src/storage/virtual_disk.hpp"
 #include "src/util/random.hpp"
 
 namespace {
@@ -144,6 +150,33 @@ void bm_batch_place(benchmark::State& state) {
       static_cast<std::int64_t>(state.iterations() * kBatch));
 }
 
+// VirtualDisk::place at n=1000, k=4 (Fast Redundant Share) from every
+// benchmark thread at once against one disk: the epoch read plus the
+// strategy walk plus its metrics, i.e. one placement lookup as a live
+// reader pays it.  Items/s against threads:1 is the read path's scaling.
+void bm_disk_place(benchmark::State& state) {
+  static const VirtualDisk disk(make_cluster(1000),
+                                std::make_shared<MirroringScheme>(4),
+                                PlacementKind::kFastRedundantShare);
+  static std::atomic<std::uint64_t> streams{0};
+  std::uint64_t address =
+      streams.fetch_add(1, std::memory_order_relaxed) << 40;
+  std::vector<DeviceId> out(4);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(disk.place(address++, out));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+
+// One metrics::Counter incremented from every benchmark thread: the cost
+// the strategy's placement counters add to each lookup.
+void bm_counter_inc(benchmark::State& state) {
+  static metrics::Counter counter;
+  for (auto _ : state) counter.inc();
+  benchmark::DoNotOptimize(counter.value());
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+
 void replicated_args(benchmark::internal::Benchmark* b) {
   for (const std::int64_t n : {10, 100, 1000}) {
     for (const std::int64_t k : {2, 4}) {
@@ -181,6 +214,9 @@ BENCHMARK_TEMPLATE(bm_batch_place, PrecomputedRedundantShare)
     ->Apply(batch_args);
 BENCHMARK_TEMPLATE(bm_batch_place, RedundantShare)->Args({1000, 2, 4})
     ->UseRealTime();
+
+BENCHMARK(bm_disk_place)->Threads(1)->Threads(2)->Threads(4)->UseRealTime();
+BENCHMARK(bm_counter_inc)->Threads(1)->Threads(4)->UseRealTime();
 
 // The ratchet's headline pair: exact law through the factory at the
 // ROADMAP reference point n=1000, k=4 (plus the other kinds for context).

@@ -6,7 +6,9 @@
 // range at a fixed 1920 buckets (~15 KB).  bucket_of() is two bit
 // operations -- no std::log on the record path, unlike util/LogHistogram,
 // and every slot is a relaxed atomic, so record() is lock-free and safe
-// from any thread.
+// from any thread.  record() does one shared RMW, on its bucket: the sum
+// lives in a sharded Counter, the count is the sum of the buckets, and the
+// min/max CAS loops write only on a new extreme.
 //
 // Unit convention: record() takes an integer; time series use nanoseconds
 // (suffix the metric name `_ns`), sizes use bytes (`_bytes`).
@@ -17,6 +19,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <vector>
+
+#include "src/metrics/counter.hpp"
 
 namespace rds::metrics {
 
@@ -69,8 +73,7 @@ class LatencyHistogram {
 
   void record(std::uint64_t value) noexcept {
     buckets_[bucket_of(value)].fetch_add(1, std::memory_order_relaxed);
-    count_.fetch_add(1, std::memory_order_relaxed);
-    sum_.fetch_add(value, std::memory_order_relaxed);
+    sum_.inc(value);
     // Peak/floor tracking; the CAS loops exit on the first load except under
     // a genuinely new extreme.  Relaxed on success AND failure (spelled out
     // for rds_lint): extremes are standalone scalars, nothing is published
@@ -87,12 +90,13 @@ class LatencyHistogram {
     }
   }
 
+  /// Samples recorded: the sum of the buckets (kBucketCount loads).
   [[nodiscard]] std::uint64_t count() const noexcept {
-    return count_.load(std::memory_order_relaxed);
+    std::uint64_t total = 0;
+    for (const auto& b : buckets_) total += b.load(std::memory_order_relaxed);
+    return total;
   }
-  [[nodiscard]] std::uint64_t sum() const noexcept {
-    return sum_.load(std::memory_order_relaxed);
-  }
+  [[nodiscard]] std::uint64_t sum() const noexcept { return sum_.value(); }
   [[nodiscard]] std::uint64_t min() const noexcept {
     const std::uint64_t m = min_.load(std::memory_order_relaxed);
     return m == kEmptyMin ? 0 : m;
@@ -108,18 +112,19 @@ class LatencyHistogram {
   /// Convenience live quantile (goes through snapshot()).
   [[nodiscard]] double quantile(double q) const { return snapshot().quantile(q); }
 
-  /// Copies the non-empty buckets and summary stats.  Concurrent record()
-  /// calls may tear count vs buckets by a sample or two -- fine for
-  /// monitoring, which is the contract of the whole subsystem.
+  /// Copies the non-empty buckets and summary stats.  The count is the
+  /// sum of the copied buckets, so the two always agree; concurrent
+  /// record() calls may tear sum/min/max vs buckets by a sample or two --
+  /// fine for monitoring, which is the contract of the whole subsystem.
   [[nodiscard]] HistogramData snapshot() const {
     HistogramData d;
-    d.count = count();
     d.sum = sum();
     d.min = min();
     d.max = max();
     for (std::size_t b = 0; b < kBucketCount; ++b) {
       const std::uint64_t c = buckets_[b].load(std::memory_order_relaxed);
       if (c > 0) d.buckets.push_back({upper_bound(b), c});
+      d.count += c;
     }
     return d;
   }
@@ -130,8 +135,7 @@ class LatencyHistogram {
     for (std::size_t b = 0; b < kBucketCount; ++b) {
       buckets_[b].store(0, std::memory_order_relaxed);
     }
-    count_.store(0, std::memory_order_relaxed);
-    sum_.store(0, std::memory_order_relaxed);
+    sum_.reset();
     min_.store(kEmptyMin, std::memory_order_relaxed);
     max_.store(0, std::memory_order_relaxed);
   }
@@ -159,8 +163,7 @@ class LatencyHistogram {
   static constexpr std::uint64_t kEmptyMin = ~std::uint64_t{0};
 
   std::atomic<std::uint64_t> buckets_[kBucketCount]{};
-  std::atomic<std::uint64_t> count_{0};
-  std::atomic<std::uint64_t> sum_{0};
+  Counter sum_;
   std::atomic<std::uint64_t> min_{kEmptyMin};
   std::atomic<std::uint64_t> max_{0};
 };

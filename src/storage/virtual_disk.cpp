@@ -114,30 +114,28 @@ void VirtualDisk::publish_epoch() {
   epoch->config = config_;
   epoch->strategy = strategy_;
   epoch->epoch = ++epoch_counter_;
-  // rds_lint: allow(atomic-memory-order) -- RcuCell::store is release
-  // internally; this is a shared_ptr publish, not a raw atomic op.
+  // rds_lint: allow(atomic-memory-order) -- RcuCell::store swaps the
+  // pointer under the cell's mutex; this is not a raw atomic op.
   published_.store(std::move(epoch));
 }
 
 std::shared_ptr<const PlacementEpoch> VirtualDisk::placement_snapshot()
     const noexcept {
-  // rds_lint: allow(atomic-memory-order) -- RcuCell::load is acquire
-  // internally; this is a shared_ptr read, not a raw atomic op.
+  // rds_lint: allow(atomic-memory-order) -- RcuCell::load copies the
+  // pointer under the cell's mutex; this is not a raw atomic op.
   return published_.load();
 }
 
 std::uint64_t VirtualDisk::place(std::uint64_t block,
                                  std::span<DeviceId> out) const {
-  // rds_lint: allow(atomic-memory-order) -- see placement_snapshot().
-  const std::shared_ptr<const PlacementEpoch> epoch = published_.load();
+  const auto epoch = published_.read();
   epoch->strategy->place(block, out);
   return epoch->epoch;
 }
 
 VirtualDisk::CopyLocations VirtualDisk::copy_locations(
     std::uint64_t block) const {
-  // rds_lint: allow(atomic-memory-order) -- see placement_snapshot().
-  const std::shared_ptr<const PlacementEpoch> epoch = published_.load();
+  const auto epoch = published_.read();
   CopyLocations out;
   out.epoch = epoch->epoch;
   out.devices.resize(epoch->strategy->replication());
@@ -147,8 +145,7 @@ VirtualDisk::CopyLocations VirtualDisk::copy_locations(
 
 Result<std::uint64_t> VirtualDisk::try_copy_locations(
     std::uint64_t block, std::span<DeviceId> out) const {
-  // rds_lint: allow(atomic-memory-order) -- see placement_snapshot().
-  const std::shared_ptr<const PlacementEpoch> epoch = published_.load();
+  const auto epoch = published_.read();
   const unsigned k = epoch->strategy->replication();
   if (out.size() != k) {
     return {ErrorCode::kInvalidArgument,

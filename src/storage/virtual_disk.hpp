@@ -13,10 +13,19 @@
 // and wait only for writers (a waiting writer holds off new reads).
 // Volumes of one StoragePool may do I/O concurrently -- the DeviceStores
 // they share carry their own lock.  Placement lookups (place(),
-// placement_snapshot()) are lock-free and may run from any number of
-// threads concurrently with that writer: they read an immutable
-// PlacementEpoch published by shared_ptr-RCU, so every lookup sees one
-// consistent (strategy, config) pair even in the middle of apply_config.
+// copy_locations(), try_copy_locations()) never take `mu_` and may run
+// from any number of threads concurrently with that writer: they read an
+// immutable PlacementEpoch published by shared_ptr-RCU (src/util/rcu.hpp),
+// so every lookup sees one consistent (strategy, config) pair even in the
+// middle of apply_config.  Lookups read the epoch through a thread-local
+// cache that is checked against the cell's version number: between
+// publishes a lookup writes no shared cache line, and after a publish each
+// thread re-reads the epoch once.  A reader that has synchronized with a
+// commit sees its epoch or a later one, and the epochs one thread sees
+// never go backwards.  The cost is retention: a thread keeps at most one
+// retired epoch per cache slot alive until its next lookup on a disk that
+// maps to that slot, or until it exits.  placement_snapshot() returns an
+// owning epoch and takes the epoch cell's mutex in shared mode.
 // The locking discipline is machine-checked: every mutable field is
 // RDS_GUARDED_BY(mu_) (the read path's tallies are atomics) and the build
 // enforces -Werror=thread-safety under Clang, which rejects a write to a
@@ -157,13 +166,15 @@ class VirtualDisk {
 
   // --- Concurrent placement (lock-free reads, atomic strategy swap) ---
 
-  /// The committed placement epoch: one wait-free shared_ptr load.  Safe
-  /// from any thread at any time, including while apply_config / a reshape
-  /// commit installs a successor.
+  /// The committed placement epoch, owned by the caller: a shared_ptr copy
+  /// under a shared hold of the epoch cell's mutex.  Safe from any thread
+  /// at any time, including while apply_config / a reshape commit installs
+  /// a successor.
   [[nodiscard]] std::shared_ptr<const PlacementEpoch> placement_snapshot()
       const noexcept;
 
-  /// Places `block` under the current committed epoch (lock-free; safe
+  /// Places `block` under the current committed epoch (a thread-cached
+  /// epoch read: no lock, no shared write between publishes; safe
   /// concurrently with the serialized mutators).  Fills `out` (size == k)
   /// and returns the epoch id the placement came from.
   std::uint64_t place(std::uint64_t block, std::span<DeviceId> out) const;
@@ -175,9 +186,9 @@ class VirtualDisk {
   };
 
   /// The k copy locations of `block` -- the read path's view of the paper's
-  /// copy-identification property.  One wait-free epoch load resolves both
-  /// the replication degree and the placement, so the result is internally
-  /// consistent even while a strategy/scheme swap is committing (lock-free,
+  /// copy-identification property.  One epoch read resolves both the
+  /// replication degree and the placement, so the result is internally
+  /// consistent even while a strategy/scheme swap is committing (cached
   /// like place()).  Allocates the result vector; hot loops use
   /// try_copy_locations with a reused buffer.
   [[nodiscard]] CopyLocations copy_locations(std::uint64_t block) const;

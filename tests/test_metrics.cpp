@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
@@ -38,6 +39,32 @@ TEST(Counter, ConcurrentIncrementsAreLossless) {
   }
   for (std::thread& w : workers) w.join();
   EXPECT_EQ(c.value(), kThreads * kPerThread);
+}
+
+// One thread per cell: every cell takes increments, the total is exact,
+// and reset() leaves nothing behind in any of them.
+TEST(Counter, ShardedCellsSumExactlyAndResetZeroesEveryCell) {
+  Counter c;
+  constexpr std::size_t kThreads = Counter::kCells;
+  constexpr std::uint64_t kPerThread = 20'000;
+  std::vector<std::size_t> cells(kThreads);
+  std::vector<std::thread> workers;
+  workers.reserve(kThreads);
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&c, &cells, t] {
+      cells[t] = Counter::this_thread_cell();
+      for (std::uint64_t i = 0; i < kPerThread; ++i) c.inc();
+    });
+  }
+  for (std::thread& w : workers) w.join();
+  EXPECT_EQ(c.value(), kThreads * kPerThread);
+  std::sort(cells.begin(), cells.end());
+  EXPECT_EQ(std::unique(cells.begin(), cells.end()), cells.end())
+      << "concurrent threads shared a cell";
+  c.reset();
+  EXPECT_EQ(c.value(), 0u);
+  c.inc(3);
+  EXPECT_EQ(c.value(), 3u);
 }
 
 TEST(Gauge, SetAddSub) {

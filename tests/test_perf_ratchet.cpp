@@ -299,6 +299,48 @@ TEST(PerfRatchetCounter, ExtractsCustomCountersAndStripsConfigSuffix) {
   EXPECT_FALSE(row->counter("absent").has_value());
 }
 
+TEST(PerfRatchetExtract, ThreadSweepRowsStayDistinct) {
+  const BenchRun run = extract_run(parse_json(R"({
+    "context": {"rds_build_type": "release"},
+    "benchmarks": [
+      {"name": "bm_disk_place/real_time/threads:1", "run_type": "iteration",
+       "items_per_second": 1.0e6, "threads": 1},
+      {"name": "bm_disk_place/real_time/threads:4/iterations:9",
+       "run_type": "iteration", "items_per_second": 4.0e6, "threads": 4}
+    ]
+  })"));
+  const BenchRow* one = run.find("bm_disk_place/real_time/threads:1");
+  const BenchRow* four = run.find("bm_disk_place/real_time/threads:4");
+  ASSERT_NE(one, nullptr);
+  ASSERT_NE(four, nullptr);
+  EXPECT_DOUBLE_EQ(one->rate, 1.0e6);
+  EXPECT_DOUBLE_EQ(four->rate, 4.0e6);
+  EXPECT_EQ(run.find("bm_disk_place/real_time"), nullptr);
+  EXPECT_EQ(one->threads, 1u);
+  EXPECT_EQ(four->threads, 4u);
+}
+
+TEST(PerfRatchetCompare, SkipsThreadRowsTheHostHasNoCoresFor) {
+  BenchRun baseline;
+  baseline.rows = {{"bm/threads:1", 1.0e6, {}, {}, 1},
+                   {"bm/threads:4", 4.0e6, {}, {}, 4}};
+  BenchRun current = baseline;
+  current.rows[0].rate = 0.9e6;
+  current.rows[1].rate = 1.0e6;  // 25% of baseline: too few cores
+  current.num_cpus = 2;
+  Report report;
+  compare_runs(baseline, current, RatchetOptions{}, report);
+  EXPECT_TRUE(report.failures.empty());
+  ASSERT_EQ(report.notes.size(), 1u);
+  EXPECT_NE(report.notes[0].find("2 CPUs"), std::string::npos);
+  // With the cores present the same drop is a regression.
+  current.num_cpus = 4;
+  Report strict;
+  compare_runs(baseline, current, RatchetOptions{}, strict);
+  ASSERT_EQ(strict.failures.size(), 1u);
+  EXPECT_NE(strict.failures[0].find("bm/threads:4"), std::string::npos);
+}
+
 TEST(PerfRatchetCounter, ParsesRuleSpecs) {
   const auto rule =
       parse_counter_rule("exp_loss_ppm:bm/k3:bm/k2:1.0");

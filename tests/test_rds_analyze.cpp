@@ -167,6 +167,19 @@ TEST(RdsAnalyze, RcuEscapeRawReturnPasses) {
   EXPECT_TRUE(analyze_fixture("rcu_escape_return_good.cpp").empty());
 }
 
+TEST(RdsAnalyze, RcuEscapeReadGuardTrips) {
+  // A direct-initialized guard; its .get() and a field's address stored.
+  const auto findings = analyze_fixture("rcu_escape_guard_bad.cpp");
+  ASSERT_EQ(findings.size(), 2u);
+  EXPECT_EQ(rules_of(findings), std::set<std::string>{"rcu-escape"});
+  EXPECT_EQ(lines_of(findings), (std::vector<int>{12, 13}));
+}
+
+TEST(RdsAnalyze, RcuEscapeReadGuardPasses) {
+  // Field reads through the guard (bitwise `&` included) are fine.
+  EXPECT_TRUE(analyze_fixture("rcu_escape_guard_good.cpp").empty());
+}
+
 TEST(RdsAnalyze, LockHeldAcrossCallTripsDirectOps) {
   const auto findings = analyze_fixture("lock_across_call_bad.cpp");
   ASSERT_EQ(findings.size(), 2u);

@@ -410,6 +410,9 @@ BenchRun extract_run(const Json& doc) {
     if (const Json* rds = context->find("rds_build_type")) {
       run.rds_build_type = rds->string;
     }
+    if (const Json* cpus = context->find("num_cpus")) {
+      run.num_cpus = static_cast<unsigned>(cpus->number);
+    }
   }
   const Json* benchmarks = doc.find("benchmarks");
   if (benchmarks == nullptr || benchmarks->kind != Json::Kind::kArray) {
@@ -432,7 +435,9 @@ BenchRun extract_run(const Json& doc) {
     // google-benchmark appends run-config segments ("/iterations:1",
     // "/min_time:0.5", ...) to row names; rules and baselines key on the
     // logical name, so strip them.  Real argument segments never contain
-    // ':' so only config segments match.
+    // ':' so only config segments match.  "/threads:N" is kept: the rows
+    // of a thread sweep share every other segment and are different
+    // measurements.
     for (;;) {
       const std::size_t slash = row.name.rfind('/');
       if (slash == std::string::npos) break;
@@ -440,10 +445,13 @@ BenchRun extract_run(const Json& doc) {
           std::string_view(row.name).substr(slash + 1);
       const bool config_segment =
           tail.starts_with("iterations:") || tail.starts_with("repeats:") ||
-          tail.starts_with("min_time:") || tail.starts_with("threads:") ||
+          tail.starts_with("min_time:") ||
           tail.starts_with("min_warmup_time:");
       if (!config_segment) break;
       row.name.resize(slash);
+    }
+    if (const Json* threads = entry.find("threads")) {
+      row.threads = static_cast<unsigned>(threads->number);
     }
     if (const Json* items = entry.find("items_per_second")) {
       row.rate = items->number;
@@ -569,6 +577,15 @@ void compare_runs(const BenchRun& baseline, const BenchRun& current,
     if (base.rate <= 0.0) {
       report.notes.push_back("skipped: `" + base.name +
                              "` has a non-positive baseline rate");
+      continue;
+    }
+    // A thread sweep row only measures scaling on a host with a core per
+    // thread; with fewer, its rate says nothing about the code.
+    if (current.num_cpus != 0 && base.threads > current.num_cpus) {
+      report.notes.push_back("skipped: `" + base.name + "` runs " +
+                             std::to_string(base.threads) +
+                             " threads but the current host has " +
+                             std::to_string(current.num_cpus) + " CPUs");
       continue;
     }
     const double ratio = cur->rate / base.rate;

@@ -69,6 +69,7 @@ struct BenchRow {
   /// loss_ppm / exp_loss_ppm / max_move_ratio from bench/perf_durability.
   /// Counter rules key on these by name.
   std::vector<std::pair<std::string, double>> counters;
+  unsigned threads = 1;  ///< benchmark threads that produced `rate`
 
   /// Value of counter `name`, nullopt when the row does not carry it.
   [[nodiscard]] std::optional<double> counter(
@@ -78,6 +79,7 @@ struct BenchRow {
 struct BenchRun {
   std::string library_build_type;  ///< context key, "" when absent
   std::string rds_build_type;      ///< our stamp (bench/perf_main.hpp)
+  unsigned num_cpus = 0;           ///< context key, 0 when absent
   std::vector<BenchRow> rows;
 
   [[nodiscard]] const BenchRow* find(std::string_view name) const noexcept;

@@ -48,11 +48,13 @@ bool member_ident(const std::vector<Tok>& b, std::size_t i) {
 }
 
 /// The mention at `i` uses the handle itself (or extracts the raw
-/// pointer), as opposed to reading a field through it.
+/// pointer, or the address of a field), as opposed to reading a field
+/// through it.
 bool handle_use(const std::vector<Tok>& b, std::size_t i) {
   if (i + 1 >= b.size()) return true;
   if (is_punct(b[i + 1], ".") || is_punct(b[i + 1], "->")) {
-    return i + 2 < b.size() && is_ident(b[i + 2], "get");
+    return field_address(b, i) ||
+           (i + 2 < b.size() && is_ident(b[i + 2], "get"));
   }
   return !is_punct(b[i + 1], "[");
 }

@@ -19,8 +19,32 @@ bool is_inspect_member(const Tok& t) {
   return t.kind == Kind::kIdent && kInspect.contains(t.text);
 }
 
+/// End of the initializer when `i` names a local declared with direct
+/// initialization -- `Type name(init);` or `Type name{init};` -- else 0.
+/// The preceding token must end a type (an identifier other than a
+/// statement keyword, or `>`), and the closing bracket must end the
+/// statement, which rules out calls and function definitions.
+std::size_t direct_init_end(const std::vector<Tok>& b, std::size_t i) {
+  static const std::set<std::string> kStatementKeywords = {
+      "return", "co_return", "throw", "else", "case", "delete", "new"};
+  if (i == 0 || i + 1 >= b.size()) return 0;
+  const Tok& prev = b[i - 1];
+  const bool after_type =
+      is_punct(prev, ">") ||
+      (prev.kind == Kind::kIdent && !kStatementKeywords.contains(prev.text));
+  if (!after_type) return 0;
+  const bool paren = is_punct(b[i + 1], "(");
+  if (!paren && !is_punct(b[i + 1], "{")) return 0;
+  const std::size_t close =
+      paren ? fwd_match(b, i + 1, "(", ")") : fwd_match(b, i + 1, "{", "}");
+  if (close + 1 >= b.size() || !is_punct(b[close + 1], ";")) return 0;
+  return close;
+}
+
 /// Locals bound to an epoch handle: direct sources, plus handle copies
-/// (`auto b = snap;`), raw extractions (`snap.get()`, `&snap`, `*snap`).
+/// (`auto b = snap;`), raw extractions (`snap.get()`, `&snap`, `*snap`,
+/// `&snap->field`).  Sources may also direct-initialize (`ReadGuard
+/// g(cell_.read());`).
 std::set<std::string> epoch_vars_impl(
     const Function& fn, const std::set<std::string>& rcu_members,
     const std::set<std::string>& epoch_fns) {
@@ -30,8 +54,16 @@ std::set<std::string> epoch_vars_impl(
   while (grew) {
     grew = false;
     for (std::size_t i = 0; i + 1 < b.size(); ++i) {
-      if (b[i].kind != Kind::kIdent || !is_punct(b[i + 1], "=")) continue;
+      if (b[i].kind != Kind::kIdent) continue;
       if (vars.contains(b[i].text) || b[i].text.ends_with("_")) continue;
+      if (const std::size_t close = direct_init_end(b, i); close != 0) {
+        if (epoch_source_in(b, i + 2, close, rcu_members, epoch_fns) &&
+            vars.insert(b[i].text).second) {
+          grew = true;
+        }
+        continue;
+      }
+      if (!is_punct(b[i + 1], "=")) continue;
       std::size_t stmt_end = i + 2;
       while (stmt_end < b.size() && !is_punct(b[stmt_end], ";")) ++stmt_end;
       bool epoch = epoch_source_in(b, i + 2, stmt_end, rcu_members, epoch_fns);
@@ -116,6 +148,17 @@ std::string enclosing_callee(const std::vector<Tok>& b, std::size_t i) {
 }
 
 }  // namespace
+
+bool field_address(const std::vector<Tok>& b, std::size_t i) {
+  if (i == 0 || i + 1 >= b.size() || !is_punct(b[i - 1], "&")) return false;
+  if (!is_punct(b[i + 1], ".") && !is_punct(b[i + 1], "->")) return false;
+  // Unary: the `&` opens an operand, it does not join two of them.
+  if (i < 2) return true;
+  const Tok& before = b[i - 2];
+  return is_ident(before, "return") ||
+         (before.kind == Kind::kPunct && !is_punct(before, ")") &&
+          !is_punct(before, "]"));
+}
 
 bool epoch_source_in(const std::vector<Tok>& b, std::size_t from,
                      std::size_t to, const std::set<std::string>& rcu_members,

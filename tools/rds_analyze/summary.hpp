@@ -62,8 +62,14 @@ class Summaries {
                                    const std::set<std::string>& rcu_members,
                                    const std::set<std::string>& epoch_fns);
 
-/// Local variables of `fn` bound to an epoch-guarded snapshot: assigned
-/// from an RcuCell member load()/read(), from placement_snapshot /
+/// True when the mention at `i` is the operand of a unary `&` and is
+/// followed by a member access: `&snap->field` is a raw view into the
+/// snapshot, unlike the field read `snap->field`.
+[[nodiscard]] bool field_address(const std::vector<Tok>& b, std::size_t i);
+
+/// Local variables of `fn` bound to an epoch-guarded snapshot: assigned or
+/// direct-initialized (`ReadGuard g(cell_.read());`, `auto g{...};`) from
+/// an RcuCell member load()/read(), from placement_snapshot /
 /// copy_locations, from a callee whose summary returns_epoch, or copied
 /// from another epoch variable.
 [[nodiscard]] std::set<std::string> collect_epoch_vars(const Function& fn,
