@@ -7,7 +7,6 @@
 #
 # Outputs (stamped, i.e. context reports the code-under-test build type):
 #   BENCH_placement.json  full perf_placement run -- the ratchet baseline
-#   BENCH_batch.json      bm_batch_place rows only (BatchPlacer sweep)
 #   BENCH_storage.json    perf_storage run
 #   BENCH_latency.json    perf_latency SLO run (p99 policy-ordering rule)
 #   BENCH_durability.json perf_durability churn run (counter-ordering rules)
@@ -68,9 +67,6 @@ run_and_stamp() {
 run_and_stamp "$BUILD_DIR/bench/perf_placement" \
   "$BUILD_DIR/bench/placement_raw.json" \
   "$OUT_DIR/BENCH_placement.json" "$FILTER"
-run_and_stamp "$BUILD_DIR/bench/perf_placement" \
-  "$BUILD_DIR/bench/batch_raw.json" \
-  "$OUT_DIR/BENCH_batch.json" "bm_batch_place"
 run_and_stamp "$BUILD_DIR/bench/perf_storage" \
   "$BUILD_DIR/bench/storage_raw.json" \
   "$OUT_DIR/BENCH_storage.json" "$FILTER"

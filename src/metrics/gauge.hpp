@@ -35,7 +35,7 @@ class Gauge {
     // with no payload published alongside it, so no acquire/release pairing
     // exists to establish -- same discipline as every other op here.  The
     // failure order is named too so the intent (not an accidental seq_cst
-    // default) is explicit and machine-checked by rds_lint.
+    // default) is explicit and machine-checked by rds_analyze.
     std::int64_t cur = value_.load(std::memory_order_relaxed);
     while (cur < v &&
            !value_.compare_exchange_weak(cur, v, std::memory_order_relaxed,

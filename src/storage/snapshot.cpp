@@ -1,11 +1,13 @@
 #include "src/storage/snapshot.hpp"
 
+#include <algorithm>
 #include <charconv>
 #include <istream>
 #include <ostream>
 #include <stdexcept>
 #include <string_view>
 
+#include "src/placement/strategy_factory.hpp"
 #include "src/storage/erasure/evenodd.hpp"
 #include "src/storage/erasure/rdp.hpp"
 
@@ -184,7 +186,16 @@ void Snapshot::put_volume_meta(std::ostream& out, const VirtualDisk& disk) {
 VirtualDisk Snapshot::get_volume_meta(
     std::istream& in,
     std::unordered_map<DeviceId, std::shared_ptr<DeviceStore>> stores) {
-  const auto kind = static_cast<PlacementKind>(get_u8(in));
+  const std::uint8_t kind_byte = get_u8(in);
+  const std::span<const PlacementKind> kinds = all_placement_kinds();
+  const auto known = std::find_if(kinds.begin(), kinds.end(), [&](auto k) {
+    return static_cast<std::uint8_t>(k) == kind_byte;
+  });
+  if (known == kinds.end()) {
+    throw std::runtime_error("snapshot: unknown placement kind " +
+                             std::to_string(kind_byte));
+  }
+  const PlacementKind kind = *known;
   const std::uint32_t volume_id = get_u32(in);
   const std::string scheme_name = get_string(in);
   ClusterConfig config = get_config(in);

@@ -8,7 +8,7 @@ namespace fix {
 class Placer {
  public:
   Placer() {
-    inflight_ = &registry_.gauge("fix_inflight");
+    inflight_ = &registry_.gauge("rds_fix_inflight");
   }
 
   void place(int count) {

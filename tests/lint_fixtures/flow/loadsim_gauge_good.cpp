@@ -8,7 +8,7 @@ namespace fix {
 class LoadSim {
  public:
   LoadSim() {
-    inflight_ = &registry_.gauge("fix_loadsim_inflight");
+    inflight_ = &registry_.gauge("rds_fix_loadsim_inflight");
   }
 
   void serve(int request) {

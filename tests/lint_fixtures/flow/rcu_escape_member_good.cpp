@@ -12,6 +12,8 @@ class Cache {
   }
 
   void publish(PlacementEpoch next) {
+    // rds_lint: allow(atomic-memory-order) -- RcuCell::store, not a
+    // std::atomic op.
     published_.store(next);
   }
 

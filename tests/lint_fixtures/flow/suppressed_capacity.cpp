@@ -1,5 +1,5 @@
-// rds_analyze fixture: the rds_lint suppression syntax carries over to
-// the flow rules -- this file would trip capacity-arith without the
+// rds_analyze fixture: the `rds_lint:` suppression syntax covers the
+// flow rules too -- this file would trip capacity-arith without the
 // allow() line.
 
 namespace fix {

@@ -1,6 +1,6 @@
 // Fixture twin: every allow() either shields a live finding or names a
-// rule that belongs to another tool (rds_analyze), which rds_lint must
-// leave alone -- zero findings expected.
+// rule id rds_analyze does not own (here a clang-tidy check), which the
+// stale-suppression pass must leave alone -- zero findings expected.
 #include <atomic>
 
 namespace fixture {
@@ -13,7 +13,7 @@ int still_violating() {
 }
 
 int foreign_rule() {
-  // rds_lint: allow(lock-order) -- rds_analyze's rule; not ours to judge
+  // rds_lint: allow(bugprone-use-after-move) -- clang-tidy's; not ours
   return counter_value.load(std::memory_order_relaxed);
 }
 

@@ -52,7 +52,7 @@ void hammer_replicated(const Strategy& strategy, unsigned k) {
     });
   }
   for (std::thread& t : threads) t.join();
-  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_EQ(mismatches.load(std::memory_order_seq_cst), 0);
 }
 
 TEST(Concurrency, RedundantShareIsShareable) {
@@ -89,7 +89,7 @@ TEST(Concurrency, SingleStrategyIsShareable) {
     });
   }
   for (std::thread& t : threads) t.join();
-  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_EQ(mismatches.load(std::memory_order_seq_cst), 0);
 }
 
 }  // namespace

@@ -93,12 +93,18 @@ TEST(Concurrency, ReadersSeeConsistentSnapshotsDuringSwaps) {
         snap->strategy->place(address++, copies);
         // Pairwise distinct and all inside the snapshot's own config.
         for (unsigned i = 0; i < k; ++i) {
-          if (!snap->config.contains(copies[i])) failures.fetch_add(1);
+          if (!snap->config.contains(copies[i])) {
+            failures.fetch_add(1, std::memory_order_seq_cst);
+          }
           for (unsigned j = i + 1; j < k; ++j) {
-            if (copies[i] == copies[j]) failures.fetch_add(1);
+            if (copies[i] == copies[j]) {
+              failures.fetch_add(1, std::memory_order_seq_cst);
+            }
           }
         }
-        if (snap->epoch < last_epoch) failures.fetch_add(1);
+        if (snap->epoch < last_epoch) {
+          failures.fetch_add(1, std::memory_order_seq_cst);
+        }
         last_epoch = snap->epoch;
       }
     });
@@ -109,10 +115,10 @@ TEST(Concurrency, ReadersSeeConsistentSnapshotsDuringSwaps) {
     const Result<std::size_t> r = disk.apply_config(configs[s % 2]);
     ASSERT_TRUE(r.ok()) << r.error().message;
   }
-  stop.store(true);
+  stop.store(true, std::memory_order_seq_cst);
   for (std::thread& t : readers) t.join();
 
-  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(failures.load(std::memory_order_seq_cst), 0);
   // kSwaps swaps after the initial publication, each reshape commits once.
   EXPECT_GE(disk.placement_snapshot()->epoch, 1u + kSwaps);
 }
@@ -142,12 +148,18 @@ TEST(Concurrency, ReadersSurviveSwapsToAndFromPrecomputed) {
         copies.assign(k, kNoDevice);
         snap->strategy->place(address++, copies);
         for (unsigned i = 0; i < k; ++i) {
-          if (!snap->config.contains(copies[i])) failures.fetch_add(1);
+          if (!snap->config.contains(copies[i])) {
+            failures.fetch_add(1, std::memory_order_seq_cst);
+          }
           for (unsigned j = i + 1; j < k; ++j) {
-            if (copies[i] == copies[j]) failures.fetch_add(1);
+            if (copies[i] == copies[j]) {
+              failures.fetch_add(1, std::memory_order_seq_cst);
+            }
           }
         }
-        if (snap->epoch < last_epoch) failures.fetch_add(1);
+        if (snap->epoch < last_epoch) {
+          failures.fetch_add(1, std::memory_order_seq_cst);
+        }
         last_epoch = snap->epoch;
       }
     });
@@ -160,10 +172,10 @@ TEST(Concurrency, ReadersSurviveSwapsToAndFromPrecomputed) {
     const Result<void> r = disk.try_set_strategy(kinds[s % 3]);
     ASSERT_TRUE(r.ok()) << r.error().message;
   }
-  stop.store(true);
+  stop.store(true, std::memory_order_seq_cst);
   for (std::thread& t : readers) t.join();
 
-  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(failures.load(std::memory_order_seq_cst), 0);
   EXPECT_EQ(disk.placement_kind(), kinds[(kSwaps - 1) % 3]);
 }
 
@@ -221,21 +233,30 @@ TEST(Concurrency, CopyLocationsStaysConsistentDuringSwaps) {
       while (!stop.load(std::memory_order_relaxed)) {
         const VirtualDisk::CopyLocations locs =
             disk.copy_locations(address);
-        if (locs.devices.size() != 2) failures.fetch_add(1);
+        if (locs.devices.size() != 2) {
+          failures.fetch_add(1, std::memory_order_seq_cst);
+        }
         for (std::size_t i = 0; i < locs.devices.size(); ++i) {
           for (std::size_t j = i + 1; j < locs.devices.size(); ++j) {
-            if (locs.devices[i] == locs.devices[j]) failures.fetch_add(1);
+            if (locs.devices[i] == locs.devices[j]) {
+              failures.fetch_add(1, std::memory_order_seq_cst);
+            }
           }
         }
-        if (locs.epoch < last_epoch) failures.fetch_add(1);
+        if (locs.epoch < last_epoch) {
+          failures.fetch_add(1, std::memory_order_seq_cst);
+        }
         last_epoch = locs.epoch;
 
         const Result<std::uint64_t> epoch =
             disk.try_copy_locations(address, buf);
         if (epoch.ok()) {
-          if (buf[0] == buf[1]) failures.fetch_add(1);
+          if (buf[0] == buf[1]) {
+            failures.fetch_add(1, std::memory_order_seq_cst);
+          }
         } else if (epoch.code() != ErrorCode::kInvalidArgument) {
-          failures.fetch_add(1);  // only the size race may fail
+          // only the size race may fail
+          failures.fetch_add(1, std::memory_order_seq_cst);
         }
         ++address;
       }
@@ -247,9 +268,9 @@ TEST(Concurrency, CopyLocationsStaysConsistentDuringSwaps) {
     const Result<std::size_t> r = disk.apply_config(configs[s % 2]);
     ASSERT_TRUE(r.ok()) << r.error().message;
   }
-  stop.store(true);
+  stop.store(true, std::memory_order_seq_cst);
   for (std::thread& t : readers) t.join();
-  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(failures.load(std::memory_order_seq_cst), 0);
 }
 
 // Same race through the convenience API: place() grabs its own snapshot.
@@ -264,8 +285,10 @@ TEST(Concurrency, PlaceIsLockFreeAgainstTopologyChanges) {
     std::uint64_t last_epoch = 0;
     while (!stop.load(std::memory_order_relaxed)) {
       const std::uint64_t epoch = disk.place(address++, copies);
-      if (copies[0] == copies[1]) failures.fetch_add(1);
-      if (epoch < last_epoch) failures.fetch_add(1);
+      if (copies[0] == copies[1]) {
+        failures.fetch_add(1, std::memory_order_seq_cst);
+      }
+      if (epoch < last_epoch) failures.fetch_add(1, std::memory_order_seq_cst);
       last_epoch = epoch;
     }
   });
@@ -276,9 +299,9 @@ TEST(Concurrency, PlaceIsLockFreeAgainstTopologyChanges) {
   for (DeviceId uid = 10; uid < 20; ++uid) {
     ASSERT_TRUE(disk.try_remove_device(uid).ok());
   }
-  stop.store(true);
+  stop.store(true, std::memory_order_seq_cst);
   reader.join();
-  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(failures.load(std::memory_order_seq_cst), 0);
 }
 
 }  // namespace

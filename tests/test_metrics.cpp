@@ -224,60 +224,60 @@ TEST(ScopedTimer, StopIsIdempotent) {
 
 TEST(Registry, SameNameAndLabelsYieldSameInstrument) {
   Registry reg;
-  Counter& a = reg.counter("test_total", {{"x", "1"}});
-  Counter& b = reg.counter("test_total", {{"x", "1"}});
+  Counter& a = reg.counter("rds_test_total", {{"x", "1"}});
+  Counter& b = reg.counter("rds_test_total", {{"x", "1"}});
   EXPECT_EQ(&a, &b);
-  Counter& c = reg.counter("test_total", {{"x", "2"}});
+  Counter& c = reg.counter("rds_test_total", {{"x", "2"}});
   EXPECT_NE(&a, &c);
 }
 
 TEST(Registry, LabelOrderDoesNotMatter) {
   Registry reg;
-  Counter& a = reg.counter("t_total", {{"a", "1"}, {"b", "2"}});
-  Counter& b = reg.counter("t_total", {{"b", "2"}, {"a", "1"}});
+  Counter& a = reg.counter("rds_t_total", {{"a", "1"}, {"b", "2"}});
+  Counter& b = reg.counter("rds_t_total", {{"b", "2"}, {"a", "1"}});
   EXPECT_EQ(&a, &b);
 }
 
 TEST(Registry, TypeMismatchThrows) {
   Registry reg;
-  (void)reg.counter("thing_total");
-  EXPECT_THROW((void)reg.gauge("thing_total"), std::invalid_argument);
-  EXPECT_THROW((void)reg.histogram("thing_total"), std::invalid_argument);
+  (void)reg.counter("rds_thing_total");
+  EXPECT_THROW((void)reg.gauge("rds_thing_total"), std::invalid_argument);
+  EXPECT_THROW((void)reg.histogram("rds_thing_total"), std::invalid_argument);
 }
 
 TEST(Registry, SnapshotContainsAllInstruments) {
   Registry reg;
-  reg.counter("c_total").inc(3);
-  reg.gauge("g").set(-7);
-  reg.histogram("h_ns").record(100);
+  reg.counter("rds_c_total").inc(3);
+  reg.gauge("rds_g").set(-7);
+  reg.histogram("rds_h_ns").record(100);
   const Snapshot snap = reg.snapshot();
   ASSERT_EQ(snap.samples.size(), 3u);
 
-  const Sample* c = snap.find("c_total");
+  const Sample* c = snap.find("rds_c_total");
   ASSERT_NE(c, nullptr);
   EXPECT_EQ(c->type, MetricType::kCounter);
   EXPECT_EQ(c->counter_value, 3u);
 
-  const Sample* g = snap.find("g");
+  const Sample* g = snap.find("rds_g");
   ASSERT_NE(g, nullptr);
   EXPECT_EQ(g->gauge_value, -7);
 
-  const Sample* h = snap.find("h_ns");
+  const Sample* h = snap.find("rds_h_ns");
   ASSERT_NE(h, nullptr);
   EXPECT_EQ(h->histogram.count, 1u);
 
   EXPECT_EQ(snap.find("missing"), nullptr);
-  EXPECT_EQ(snap.find("c_total", {{"no", "such"}}), nullptr);
+  EXPECT_EQ(snap.find("rds_c_total", {{"no", "such"}}), nullptr);
 }
 
 TEST(Registry, ResetZeroesButKeepsReferencesValid) {
   Registry reg;
-  Counter& c = reg.counter("r_total");
+  Counter& c = reg.counter("rds_r_total");
   c.inc(5);
   reg.reset();
   EXPECT_EQ(c.value(), 0u);
   c.inc();
-  EXPECT_EQ(reg.snapshot().find("r_total")->counter_value, 1u);
+  EXPECT_EQ(reg.snapshot().find("rds_r_total")->counter_value, 1u);
 }
 
 TEST(Registry, ConcurrentRegistrationAndIncrement) {
@@ -288,17 +288,17 @@ TEST(Registry, ConcurrentRegistrationAndIncrement) {
   for (int t = 0; t < kThreads; ++t) {
     workers.emplace_back([&reg] {
       for (int i = 0; i < 1'000; ++i) {
-        reg.counter("shared_total").inc();
-        reg.counter("labeled_total", {{"i", std::to_string(i % 4)}}).inc();
+        reg.counter("rds_shared_total").inc();
+        reg.counter("rds_labeled_total", {{"i", std::to_string(i % 4)}}).inc();
       }
     });
   }
   for (std::thread& w : workers) w.join();
   const Snapshot snap = reg.snapshot();
-  EXPECT_EQ(snap.find("shared_total")->counter_value, kThreads * 1'000u);
+  EXPECT_EQ(snap.find("rds_shared_total")->counter_value, kThreads * 1'000u);
   std::uint64_t labeled = 0;
   for (const Sample& s : snap.samples) {
-    if (s.name == "labeled_total") labeled += s.counter_value;
+    if (s.name == "rds_labeled_total") labeled += s.counter_value;
   }
   EXPECT_EQ(labeled, kThreads * 1'000u);
 }
@@ -311,15 +311,15 @@ TEST(Registry, GlobalIsASingleton) {
 
 TEST(Export, JsonContainsEveryFamilyAndParses) {
   Registry reg;
-  reg.counter("j_total", {{"kind", "x"}}).inc(2);
-  reg.gauge("j_gauge").set(9);
-  reg.histogram("j_ns").record(1'000);
+  reg.counter("rds_j_total", {{"kind", "x"}}).inc(2);
+  reg.gauge("rds_j_gauge").set(9);
+  reg.histogram("rds_j_ns").record(1'000);
   const std::string json = to_json(reg.snapshot());
   EXPECT_NE(json.find("\"version\""), std::string::npos);
-  EXPECT_NE(json.find("\"j_total\""), std::string::npos);
+  EXPECT_NE(json.find("\"rds_j_total\""), std::string::npos);
   EXPECT_NE(json.find("\"kind\""), std::string::npos);
-  EXPECT_NE(json.find("\"j_gauge\""), std::string::npos);
-  EXPECT_NE(json.find("\"j_ns\""), std::string::npos);
+  EXPECT_NE(json.find("\"rds_j_gauge\""), std::string::npos);
+  EXPECT_NE(json.find("\"rds_j_ns\""), std::string::npos);
   EXPECT_NE(json.find("\"buckets\""), std::string::npos);
   // Balanced braces/brackets -- cheap structural sanity check.
   std::int64_t braces = 0, brackets = 0;
@@ -339,20 +339,20 @@ TEST(Export, JsonContainsEveryFamilyAndParses) {
 
 TEST(Export, JsonEscapesSpecialCharacters) {
   Registry reg;
-  reg.counter("esc_total", {{"path", "a\"b\\c"}}).inc();
+  reg.counter("rds_esc_total", {{"path", "a\"b\\c"}}).inc();
   const std::string json = to_json(reg.snapshot());
   EXPECT_NE(json.find("a\\\"b\\\\c"), std::string::npos);
 }
 
 TEST(Export, TextFormatListsMetricsWithLabels) {
   Registry reg;
-  reg.counter("t_total", {{"device", "3"}}).inc(7);
-  reg.gauge("t_gauge").set(11);
-  reg.histogram("t_ns").record(50);
+  reg.counter("rds_t_total", {{"device", "3"}}).inc(7);
+  reg.gauge("rds_t_gauge").set(11);
+  reg.histogram("rds_t_ns").record(50);
   const std::string text = to_text(reg.snapshot());
-  EXPECT_NE(text.find("t_total{device=\"3\"} 7"), std::string::npos);
-  EXPECT_NE(text.find("t_gauge 11"), std::string::npos);
-  EXPECT_NE(text.find("t_ns"), std::string::npos);
+  EXPECT_NE(text.find("rds_t_total{device=\"3\"} 7"), std::string::npos);
+  EXPECT_NE(text.find("rds_t_gauge 11"), std::string::npos);
+  EXPECT_NE(text.find("rds_t_ns"), std::string::npos);
   EXPECT_NE(text.find("count="), std::string::npos);
 }
 

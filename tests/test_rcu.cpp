@@ -43,11 +43,17 @@ TEST(RcuCell, ReadServesTheCurrentSnapshot) {
   RcuCell<Box> cell(box(1));
   EXPECT_EQ(cell.read()->value, 1u);
   EXPECT_EQ(cell.read()->value, 1u);  // a cache hit
+  // rds_lint: allow(atomic-memory-order) -- RcuCell::store, not a
+  // std::atomic op: the cell synchronizes under its own mutex.
   cell.store(box(2));
   EXPECT_EQ(cell.read()->value, 2u);  // the publish forces a miss
+  // rds_lint: allow(atomic-memory-order) -- RcuCell::exchange, not a
+  // std::atomic op: the cell synchronizes under its own mutex.
   const std::shared_ptr<const Box> old = cell.exchange(box(3));
   EXPECT_EQ(old->value, 2u);
   EXPECT_EQ(cell.read()->value, 3u);
+  // rds_lint: allow(atomic-memory-order) -- RcuCell::load, not a
+  // std::atomic op: the cell synchronizes under its own mutex.
   EXPECT_EQ(cell.load()->value, 3u);
   EXPECT_FALSE(RcuCell<Box>().read());
 }
@@ -63,23 +69,29 @@ TEST(RcuConcurrency, ReaderSynchronizedWithPublisherSeesTheNewSnapshot) {
   std::thread reader([&] {
     for (std::uint64_t i = 1; i <= kRounds; ++i) {
       // Warm the cache with the previous snapshot before the publish.
-      if (cell.read()->value != i - 1) stale.fetch_add(1);
+      if (cell.read()->value != i - 1) {
+        stale.fetch_add(1, std::memory_order_seq_cst);
+      }
       acked.store(i, std::memory_order_release);
       while (published.load(std::memory_order_acquire) < i) {
         std::this_thread::yield();
       }
-      if (cell.read()->value != i) stale.fetch_add(1);
+      if (cell.read()->value != i) {
+        stale.fetch_add(1, std::memory_order_seq_cst);
+      }
     }
   });
   for (std::uint64_t i = 1; i <= kRounds; ++i) {
     while (acked.load(std::memory_order_acquire) < i) {
       std::this_thread::yield();
     }
+    // rds_lint: allow(atomic-memory-order) -- RcuCell::store, not a
+    // std::atomic op: the cell synchronizes under its own mutex.
     cell.store(box(i));
     published.store(i, std::memory_order_release);
   }
   reader.join();
-  EXPECT_EQ(stale.load(), 0);
+  EXPECT_EQ(stale.load(std::memory_order_seq_cst), 0);
 }
 
 TEST(RcuConcurrency, SnapshotsSeenByOneThreadNeverGoBackwards) {
@@ -94,15 +106,19 @@ TEST(RcuConcurrency, SnapshotsSeenByOneThreadNeverGoBackwards) {
       std::uint64_t last = 0;
       while (!stop.load(std::memory_order_relaxed)) {
         const auto guard = cell.read();
-        if (guard->value < last) backwards.fetch_add(1);
+        if (guard->value < last) {
+          backwards.fetch_add(1, std::memory_order_seq_cst);
+        }
         last = guard->value;
       }
     });
   }
+  // rds_lint: allow(atomic-memory-order) -- RcuCell::store, not a
+  // std::atomic op: the cell synchronizes under its own mutex.
   for (std::uint64_t i = 1; i <= kPublishes; ++i) cell.store(box(i));
-  stop.store(true);
+  stop.store(true, std::memory_order_seq_cst);
   for (std::thread& t : readers) t.join();
-  EXPECT_EQ(backwards.load(), 0);
+  EXPECT_EQ(backwards.load(std::memory_order_seq_cst), 0);
   EXPECT_EQ(cell.read()->value, kPublishes);
 }
 
@@ -122,7 +138,7 @@ TEST(RcuConcurrency, PlacementEpochsSeenByOneThreadNeverGoBackwards) {
         const Result<std::uint64_t> epoch =
             disk.try_copy_locations(address++, where);
         if (!epoch.ok() || epoch.value() < last || where[0] == where[1]) {
-          failures.fetch_add(1);
+          failures.fetch_add(1, std::memory_order_seq_cst);
           continue;
         }
         last = epoch.value();
@@ -132,9 +148,9 @@ TEST(RcuConcurrency, PlacementEpochsSeenByOneThreadNeverGoBackwards) {
   for (int i = 0; i < kResizes; ++i) {
     ASSERT_TRUE(disk.try_resize_device(1 + i % 6, 900 + 50 * (i % 5)).ok());
   }
-  stop.store(true);
+  stop.store(true, std::memory_order_seq_cst);
   for (std::thread& t : readers) t.join();
-  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(failures.load(std::memory_order_seq_cst), 0);
 }
 
 /// Takes a guard on cells[c], then recurses with it alive, so the guards
@@ -167,6 +183,8 @@ TEST(RcuCell, NestedGuardsOnCollidingCellsStayValid) {
   std::vector<const RcuCell<Box>::ReadGuard*> guards;
   with_nested_guards(cells, 0, guards, [&] {
     ASSERT_EQ(guards.size(), kCells);
+    // rds_lint: allow(atomic-memory-order) -- RcuCell::store, not a
+    // std::atomic op: the cell synchronizes under its own mutex.
     for (std::size_t c = 0; c < kCells; ++c) cells[c]->store(box(100 + c));
     for (std::size_t c = 0; c < kCells; ++c) {
       // A nested read of the same cell sees the new snapshot; the outer
@@ -225,6 +243,8 @@ TEST(RcuCell, MoveConstructedCellDoesNotAliasItsSource) {
   EXPECT_EQ(source.read()->value, 1u);  // caches the source's entry
   RcuCell<Box> moved(std::move(source));
   EXPECT_EQ(moved.read()->value, 1u);
+  // rds_lint: allow(atomic-memory-order) -- RcuCell::store, not a
+  // std::atomic op: the cell synchronizes under its own mutex.
   moved.store(box(2));
   EXPECT_EQ(moved.read()->value, 2u);
 }
@@ -236,6 +256,8 @@ TEST(RcuCell, MoveAssignedCellDropsItsOwnCachedEntry) {
   EXPECT_EQ(target.read()->value, 7u);  // cached under target's own id
   target = std::move(source);
   EXPECT_EQ(target.read()->value, 1u);
+  // rds_lint: allow(atomic-memory-order) -- RcuCell::store, not a
+  // std::atomic op: the cell synchronizes under its own mutex.
   target.store(box(3));
   EXPECT_EQ(target.read()->value, 3u);
 }

@@ -1,8 +1,9 @@
 // rds_analyze contract tests: every flow rule fires on its tripping
-// fixture and stays quiet on its passing twin, suppressions carry over
-// from rds_lint, the reporting back ends round-trip, and the committed
+// fixture and stays quiet on its passing twin, the `rds_lint:` suppression
+// syntax covers them, the reporting back ends round-trip, and the committed
 // baseline reproduces byte-for-byte over the tree
 // (docs/static_analysis.md).
+#include <filesystem>
 #include <fstream>
 #include <set>
 #include <sstream>
@@ -51,6 +52,9 @@ TEST(RdsAnalyze, RuleListIsComplete) {
       "capacity-arith",    "rcu-escape",
       "lock-held-across-call", "shared-state-race",
       "lambda-escape",     "annotation-drift",
+      "atomic-memory-order", "result-path-throw",
+      "placement-determinism", "header-hygiene",
+      "metrics-naming",    "nodiscard-result",
       "stale-suppression"};
   EXPECT_EQ(rds::analyze::rule_ids(), expected);
 }
@@ -520,6 +524,25 @@ TEST(RdsAnalyze, CallgraphDumpsContainMethodsEdgesAndSccs) {
   EXPECT_NE(json.find("\"kind\": \"wrapper\""), std::string::npos);
   EXPECT_NE(json.find("\"sccs\""), std::string::npos);
   EXPECT_NE(json.find("\"blocking_unguarded\": true"), std::string::npos);
+}
+
+TEST(RdsAnalyze, DatabaseAndWalkCountEachFileOnce) {
+  // `-p db` names files by absolute path and a directory walk by the
+  // spelling it was given; the CLI feeds both to collect_sources, which
+  // must keep one model per file.
+  const std::string dir = std::string(RDS_LINT_FIXTURE_DIR) + "/placement";
+  const std::string db = "[{\"directory\": \"/\", \"file\": \"" + dir +
+                         "/determinism_bad.cpp\"}]";
+  std::vector<std::string> paths = rds::analyze::compile_commands_files(db);
+  ASSERT_EQ(paths.size(), 1u);
+  paths.push_back(std::filesystem::relative(dir).string());
+  paths.push_back(dir + "/./determinism_good.cpp");
+  const std::vector<std::string> sources =
+      rds::analyze::collect_sources(paths);
+  ASSERT_EQ(sources.size(), 2u);
+  EXPECT_EQ(sources[0], dir + "/determinism_bad.cpp");
+  EXPECT_EQ(std::filesystem::path(sources[1]).filename(),
+            "determinism_good.cpp");
 }
 
 TEST(RdsAnalyze, SuppressionsCarryOverFromRdsLint) {

@@ -1,31 +1,40 @@
-// rds_lint contract tests: every rule fires on its tripping fixture and
-// stays quiet on its passing twin, and the suppression syntax behaves as
-// documented (docs/static_analysis.md).
+// Token-rule contract tests for rds_analyze (the rules that carry the
+// `// rds_lint: allow(rule) -- reason` suppression syntax): every rule fires
+// on its tripping fixture and stays quiet on its passing twin, and the
+// suppression syntax behaves as documented (docs/static_analysis.md).
 #include <algorithm>
+#include <fstream>
 #include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "tools/rds_lint/lint.hpp"
+#include "tools/rds_analyze/analyze.hpp"
+#include "tools/rds_analyze/report.hpp"
 
 namespace {
 
-using rds::lint::Finding;
-using rds::lint::Options;
+using rds::analyze::Analyzer;
+using rds::analyze::analyze_text;
+using rds::analyze::Finding;
+using rds::analyze::Options;
 
 std::string fixture_path(const std::string& name) {
   return std::string(RDS_LINT_FIXTURE_DIR) + "/" + name;
 }
 
+std::vector<Finding> analyze_file(const std::string& path,
+                                  const Options& opts = {}) {
+  Analyzer analyzer;
+  EXPECT_TRUE(analyzer.add_file(path)) << path;
+  return analyzer.run(opts);
+}
+
 std::vector<Finding> lint_fixture(const std::string& name,
                                   const Options& opts = {}) {
-  std::vector<Finding> out;
-  std::string error;
-  EXPECT_TRUE(rds::lint::lint_file(fixture_path(name), out, error, opts))
-      << error;
-  return out;
+  return analyze_file(fixture_path(name), opts);
 }
 
 std::set<std::string> rules_of(const std::vector<Finding>& findings) {
@@ -35,11 +44,13 @@ std::set<std::string> rules_of(const std::vector<Finding>& findings) {
 }
 
 TEST(RdsLint, RuleListIsComplete) {
-  const std::vector<std::string> expected = {
-      "atomic-memory-order",   "result-path-throw", "placement-determinism",
-      "header-hygiene",        "metrics-naming",    "nodiscard-result",
-      "stale-suppression"};
-  EXPECT_EQ(rds::lint::rule_ids(), expected);
+  const std::vector<std::string>& ids = rds::analyze::rule_ids();
+  for (const std::string id :
+       {"atomic-memory-order", "result-path-throw", "placement-determinism",
+        "header-hygiene", "metrics-naming", "nodiscard-result",
+        "stale-suppression"}) {
+    EXPECT_EQ(std::count(ids.begin(), ids.end(), id), 1) << id;
+  }
 }
 
 TEST(RdsLint, AtomicMemoryOrderTrips) {
@@ -76,14 +87,11 @@ TEST(RdsLint, PlacementDeterminismPasses) {
 
 TEST(RdsLint, PlacementRuleIsPathScoped) {
   // The same entropy calls outside a placement/ directory are legal.
-  std::vector<Finding> out;
-  std::string error;
-  ASSERT_TRUE(rds::lint::lint_file(fixture_path("placement/determinism_bad.cpp"),
-                                   out, error,
-                                   Options{{"placement-determinism"}}));
-  EXPECT_FALSE(out.empty());
-  const auto elsewhere = rds::lint::lint_text(
-      "src/sim/workload.cpp", "int f() { return rand(); }", {});
+  EXPECT_FALSE(lint_fixture("placement/determinism_bad.cpp",
+                            Options{{"placement-determinism"}})
+                   .empty());
+  const auto elsewhere =
+      analyze_text("src/sim/workload.cpp", "int f() { return rand(); }");
   EXPECT_TRUE(elsewhere.empty());
 }
 
@@ -147,11 +155,7 @@ TEST(RdsLint, JournalSourcesLintClean) {
         "/src/journal/recovery.cpp", "/src/journal/journal.hpp",
         "/src/journal/record.hpp", "/src/journal/recovery.hpp",
         "/src/journal/torn_write.hpp"}) {
-    std::vector<Finding> out;
-    std::string error;
-    ASSERT_TRUE(rds::lint::lint_file(std::string(RDS_LINT_SOURCE_DIR) + file,
-                                     out, error, {}))
-        << error;
+    const auto out = analyze_file(std::string(RDS_LINT_SOURCE_DIR) + file);
     EXPECT_TRUE(out.empty())
         << file << ":" << out.front().line << " [" << out.front().rule
         << "] " << out.front().message;
@@ -187,7 +191,7 @@ TEST(RdsLint, StaleSuppressionTrips) {
 }
 
 TEST(RdsLint, StaleSuppressionPasses) {
-  // A used suppression and a foreign (rds_analyze) rule id are both fine.
+  // A used suppression and a rule id this tool does not own are both fine.
   EXPECT_TRUE(lint_fixture("suppression_stale_good.cpp").empty());
 }
 
@@ -206,11 +210,11 @@ TEST(RdsLint, OnlyRulesFilters) {
 }
 
 TEST(RdsLint, UnreadableFileReportsError) {
-  std::vector<Finding> out;
-  std::string error;
-  EXPECT_FALSE(rds::lint::lint_file(fixture_path("does_not_exist.cpp"), out,
-                                    error, {}));
-  EXPECT_FALSE(error.empty());
+  Analyzer analyzer;
+  EXPECT_FALSE(analyzer.add_file(fixture_path("does_not_exist.cpp")));
+  ASSERT_EQ(analyzer.io_errors().size(), 1u);
+  EXPECT_NE(analyzer.io_errors().front().find("does_not_exist.cpp"),
+            std::string::npos);
 }
 
 TEST(RdsLint, TokenizerSurvivesRawStringsAndOddLiterals) {
@@ -222,7 +226,7 @@ const char* kDoc = R"doc(not a "comment" // nor /* one */)doc";
 std::atomic<int> v;
 int f() { return v.load(); }
 )src";
-  const auto findings = rds::lint::lint_text("odd.cpp", text, {});
+  const auto findings = analyze_text("odd.cpp", text);
   ASSERT_EQ(findings.size(), 1u);
   EXPECT_EQ(findings.front().rule, "atomic-memory-order");
   EXPECT_EQ(findings.front().line, 5);
@@ -239,7 +243,7 @@ void f() {
   g();
 }
 )src";
-  const auto findings = rds::lint::lint_text("lambda.cpp", text, {});
+  const auto findings = analyze_text("lambda.cpp", text);
   ASSERT_EQ(findings.size(), 1u);
   EXPECT_EQ(findings.front().rule, "atomic-memory-order");
   EXPECT_EQ(findings.front().line, 5);
@@ -256,7 +260,7 @@ int try_fetch() {
   return 0;
 }
 )src";
-  EXPECT_TRUE(rds::lint::lint_text("lambda.cpp", text, {}).empty());
+  EXPECT_TRUE(analyze_text("lambda.cpp", text).empty());
 }
 
 TEST(RdsLint, ResultPathThrowFiresInNoexceptAndTryLambdas) {
@@ -269,22 +273,41 @@ void run() {
   cb(try_push(1));
 }
 )src";
-  const auto findings = rds::lint::lint_text("lambda.cpp", text, {});
+  const auto findings = analyze_text("lambda.cpp", text);
   ASSERT_EQ(findings.size(), 2u);
   EXPECT_EQ(rules_of(findings), std::set<std::string>{"result-path-throw"});
   EXPECT_EQ(findings[0].line, 3);
   EXPECT_EQ(findings[1].line, 4);
 }
 
+TEST(RdsLint, ResultPathThrowCoversScopeLambdasAndLinkageBlocks) {
+  // Bodies outside the usual function shapes keep the obligation: a
+  // noexcept lambda initializing a namespace-scope variable, and a
+  // noexcept function inside an extern "C" block.
+  const std::string text = R"src(
+const auto kCheck = [](int v) noexcept { if (v < 0) throw v; };
+extern "C" {
+void on_exit() noexcept { throw 1; }
+}
+)src";
+  const auto findings = analyze_text("scopes.cpp", text);
+  ASSERT_EQ(findings.size(), 2u);
+  EXPECT_EQ(rules_of(findings), std::set<std::string>{"result-path-throw"});
+  EXPECT_EQ(findings[0].line, 2);
+  EXPECT_EQ(findings[1].line, 4);
+}
+
 TEST(RdsLint, LintTreeIsClean) {
-  // Mirrors the lint_tree ctest: the shipped sources must stay clean.  Kept
-  // here too so a plain `ctest -R RdsLint` exercises it.
-  std::vector<Finding> out;
-  std::string error;
-  ASSERT_TRUE(rds::lint::lint_file(
-      std::string(RDS_LINT_SOURCE_DIR) + "/src/storage/virtual_disk.cpp", out,
-      error, {}))
-      << error;
+  // A one-file spot check of a shipped source against the committed
+  // baseline (the analyze_tree ctest covers the whole tree), so a plain
+  // `ctest -R RdsLint` exercises it.
+  const std::string root = RDS_LINT_SOURCE_DIR;
+  std::ifstream in(root + "/tools/rds_analyze/baseline.txt");
+  std::ostringstream baseline;
+  baseline << in.rdbuf();
+  const auto out = rds::analyze::new_findings(
+      analyze_file(root + "/src/storage/virtual_disk.cpp"),
+      rds::analyze::parse_baseline(baseline.str()), root);
   EXPECT_TRUE(out.empty()) << out.front().file << ":" << out.front().line
                            << " [" << out.front().rule << "] "
                            << out.front().message;

@@ -137,6 +137,28 @@ TEST(Snapshot, RejectsGarbage) {
   EXPECT_THROW((void)Snapshot::load_disk(truncated), std::runtime_error);
 }
 
+TEST(Snapshot, RejectsUnknownPlacementKind) {
+  // An empty disk, so the scheme name appears once: the volume section is
+  // kind byte, u32 volume id, u32 name length, name.
+  VirtualDisk disk(pool_config(), std::make_shared<MirroringScheme>(2));
+  std::stringstream stream;
+  Snapshot::save_disk(disk, stream);
+  const std::string full = stream.str();
+  const std::size_t name_at = full.find(disk.scheme().name());
+  ASSERT_NE(name_at, std::string::npos);
+  const std::size_t kind_at = name_at - 9;
+  ASSERT_EQ(static_cast<std::uint8_t>(full[kind_at]),
+            static_cast<std::uint8_t>(disk.placement_kind()));
+  for (const std::uint8_t bad : {std::uint8_t{6}, std::uint8_t{0x7F},
+                                 std::uint8_t{0xFF}}) {
+    std::string damaged = full;
+    damaged[kind_at] = static_cast<char>(bad);
+    std::stringstream in(damaged);
+    EXPECT_THROW((void)Snapshot::load_disk(in), std::runtime_error)
+        << "kind byte " << int{bad};
+  }
+}
+
 TEST(Snapshot, SaveDuringReshapeRejected) {
   VirtualDisk disk(pool_config(), std::make_shared<MirroringScheme>(2));
   for (std::uint64_t b = 0; b < 50; ++b) disk.write(b, payload(b, 1));

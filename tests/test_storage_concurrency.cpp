@@ -79,7 +79,7 @@ TEST(StorageConcurrency, OneWriterAndThreeReadersShareADisk) {
   done.store(true, std::memory_order_release);
   for (std::thread& t : readers) t.join();
 
-  EXPECT_EQ(bad_reads.load(), 0);
+  EXPECT_EQ(bad_reads.load(std::memory_order_seq_cst), 0);
   for (std::uint64_t b = 0; b < kBlocks; ++b) {
     EXPECT_EQ(disk.read(b), payload(b, kVersions));
   }
@@ -121,7 +121,7 @@ TEST(StorageConcurrency, PoolVolumesDoIoConcurrently) {
   ta.join();
   tb.join();
 
-  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(failures.load(std::memory_order_seq_cst), 0);
   for (std::uint64_t blk = 0; blk < kBlocks; ++blk) {
     EXPECT_EQ(a.read(blk), payload(blk, kVersions));
     EXPECT_EQ(b.read(blk), payload(blk, kVersions));

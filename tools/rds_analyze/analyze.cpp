@@ -1,7 +1,9 @@
 #include "tools/rds_analyze/analyze.hpp"
 
 #include <algorithm>
+#include <array>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <set>
 #include <sstream>
@@ -106,6 +108,198 @@ bool escape_call(const std::string& name) {
   return is_escape_call(name) || lower(name) == "thread";
 }
 
+// ---- token rules -----------------------------------------------------------
+// Project conventions no compiler checks, read off the token stream and the
+// function model: every atomic op names its memory order, try_* and
+// noexcept bodies never throw, placement/ draws no entropy, headers keep to
+// #pragma once and no namespace-scope `using namespace`, metric families
+// carry the rds_ prefix, and Result-returning declarations are
+// [[nodiscard]].
+
+constexpr std::array<std::string_view, 10> kAtomicOps = {
+    "load",      "store",     "exchange",  "fetch_add",
+    "fetch_sub", "fetch_and", "fetch_or",  "fetch_xor",
+    "compare_exchange_weak", "compare_exchange_strong"};
+
+constexpr std::array<std::string_view, 6> kNondeterministic = {
+    "random_device", "srand", "rand",
+    "system_clock",  "high_resolution_clock", "time"};
+
+constexpr std::array<std::string_view, 3> kMetricFactories = {
+    "counter", "gauge", "histogram"};
+
+template <std::size_t N>
+bool one_of(const std::array<std::string_view, N>& set,
+            const std::string& word) {
+  return std::find(set.begin(), set.end(), word) != set.end();
+}
+
+/// `noexcept` anywhere in `decl` from `from` on, except noexcept(false).
+bool declares_noexcept(const std::vector<Tok>& decl, std::size_t from) {
+  for (std::size_t j = from; j < decl.size(); ++j) {
+    if (!is_ident(decl[j], "noexcept")) continue;
+    if (!(j + 2 < decl.size() && decl[j + 1].text == "(" &&
+          decl[j + 2].text == "false")) {
+      return true;
+    }
+  }
+  return false;
+}
+
+using Emit = std::function<void(int line, const std::string& rule,
+                                std::string message)>;
+
+/// result-path-throw over one function body.  Lambda bodies are their own
+/// Functions, so a throw inside a lambda answers to the lambda's
+/// obligation: a noexcept lambda, or one initializing a try_* variable.
+void check_throws(const Function& fn, const RaceModel& race,
+                  const Emit& emit) {
+  std::string name;
+  std::size_t paren = 0;
+  if (fn.is_lambda) {
+    name = "(lambda)";
+    const LambdaFacts* lf = race.facts_for(&fn);
+    if (lf != nullptr && lf->parent != nullptr && fn.parent_tok >= 2) {
+      const std::vector<Tok>& pb = lf->parent->body;
+      if (is_punct(pb[fn.parent_tok - 1], "=") &&
+          pb[fn.parent_tok - 2].kind == Kind::kIdent) {
+        name = pb[fn.parent_tok - 2].text;
+      }
+    }
+  } else {
+    while (paren < fn.decl.size() && !is_punct(fn.decl[paren], "(")) ++paren;
+    if (paren == fn.decl.size()) return;
+    if (paren > 0) name = fn.decl[paren - 1].text;
+  }
+  const bool is_try = name.starts_with("try_") &&
+                      (fn.is_lambda || fn.decl[paren - 1].kind == Kind::kIdent);
+  if (!is_try && !declares_noexcept(fn.decl, paren)) return;
+  for (const Tok& t : fn.body) {
+    if (!is_ident(t, "throw")) continue;
+    emit(t.line, "result-path-throw",
+         "'" + name + "' is a " +
+             (is_try ? std::string("Result-returning try_* path")
+                     : std::string("noexcept function")) +
+             "; report the error, do not throw");
+  }
+}
+
+void check_tokens(const FileModel& fm, const RaceModel& race,
+                  const Emit& emit) {
+  const std::string& path = fm.path;
+  const bool is_header = path.ends_with(".hpp") || path.ends_with(".h") ||
+                         path.ends_with(".hh");
+  const bool is_placement = path.find("placement/") != std::string::npos;
+  const std::vector<Tok>& toks = fm.toks;
+
+  if (is_header &&
+      std::none_of(toks.begin(), toks.end(), [](const Tok& t) {
+        return t.kind == Kind::kPreproc &&
+               t.text.find("pragma") != std::string::npos &&
+               t.text.find("once") != std::string::npos;
+      })) {
+    emit(1, "header-hygiene", "header is missing #pragma once");
+  }
+
+  std::vector<bool> in_body(toks.size(), false);
+  for (const Function& fn : fm.functions) {
+    check_throws(fn, race, emit);
+    for (std::size_t i = fn.open; i <= fn.close && i < toks.size(); ++i) {
+      in_body[i] = true;
+    }
+  }
+
+  std::vector<std::size_t> code;  // indices of code tokens in `toks`
+  for (std::size_t i = 0; i < toks.size(); ++i) {
+    if (toks[i].kind != Kind::kComment && toks[i].kind != Kind::kPreproc) {
+      code.push_back(i);
+    }
+  }
+  const auto at = [&](std::size_t k) -> const Tok* {
+    return k < code.size() ? &toks[code[k]] : nullptr;
+  };
+
+  std::size_t decl_begin = 0;  // first code token after the last ; { }
+  for (std::size_t k = 0; k < code.size(); ++k) {
+    const Tok& t = toks[code[k]];
+    if (is_punct(t, ";") || is_punct(t, "{") || is_punct(t, "}")) {
+      decl_begin = k + 1;
+      continue;
+    }
+    if (t.kind != Kind::kIdent) continue;
+    const Tok* n1 = at(k + 1);
+    const bool call_shape = n1 != nullptr && n1->text == "(";
+
+    if (is_placement && one_of(kNondeterministic, t.text)) {
+      emit(t.line, "placement-determinism",
+           "'" + t.text +
+               "' in src/placement/: placement must be a deterministic "
+               "function of (input, config)");
+    }
+
+    if (one_of(kAtomicOps, t.text) && k > 0 && call_shape &&
+        (at(k - 1)->text == "." || at(k - 1)->text == "->")) {
+      int depth = 0;
+      int orders = 0;
+      for (std::size_t j = k + 1; j < code.size() && j < k + 512; ++j) {
+        const Tok& a = toks[code[j]];
+        if (is_punct(a, "(")) ++depth;
+        if (is_punct(a, ")") && --depth == 0) break;
+        if (a.kind == Kind::kIdent &&
+            a.text.find("memory_order") != std::string::npos) {
+          ++orders;
+        }
+      }
+      const bool is_cas = t.text.starts_with("compare_exchange");
+      if (orders < (is_cas ? 2 : 1)) {
+        emit(t.line, "atomic-memory-order",
+             "atomic " + t.text + "() without " +
+                 (is_cas ? "explicit success AND failure memory orders"
+                         : "an explicit memory order") +
+                 "; spell out the weakest order that is correct");
+      }
+    }
+
+    if (one_of(kMetricFactories, t.text) && call_shape) {
+      const Tok* n2 = at(k + 2);
+      if (n2 != nullptr && n2->kind == Kind::kString &&
+          !n2->text.starts_with("\"rds_")) {
+        emit(n2->line, "metrics-naming",
+             "metric family " + n2->text +
+                 " does not follow the rds_* naming scheme "
+                 "(docs/metrics.md)");
+      }
+    }
+
+    if (!is_header || in_body[code[k]]) continue;
+    if (t.text == "using" && n1 != nullptr && is_ident(*n1, "namespace")) {
+      emit(t.line, "header-hygiene",
+           "'using namespace' at namespace scope in a header leaks "
+           "names into every includer");
+    }
+    if (!call_shape) continue;
+    const auto decl_has = [&](std::string_view word) {
+      for (std::size_t j = decl_begin; j < k; ++j) {
+        if (is_ident(toks[code[j]], word)) return true;
+      }
+      return false;
+    };
+    if (t.text.starts_with("try_") && decl_has("Result") &&
+        !decl_has("nodiscard")) {
+      emit(t.line, "nodiscard-result",
+           "Result-returning '" + t.text +
+               "' must be [[nodiscard]]: a dropped Result is a "
+               "silently swallowed error");
+    }
+    if (t.text == "exchange" && decl_has("shared_ptr") &&
+        !decl_has("nodiscard")) {
+      emit(t.line, "nodiscard-result",
+           "'exchange' hands back the previous pointer; dropping it "
+           "defeats the swap -- mark it [[nodiscard]]");
+    }
+  }
+}
+
 }  // namespace
 
 // ---- rule ids --------------------------------------------------------------
@@ -117,6 +311,9 @@ const std::vector<std::string>& rule_ids() {
       "capacity-arith", "rcu-escape",
       "lock-held-across-call", "shared-state-race",
       "lambda-escape",  "annotation-drift",
+      "atomic-memory-order", "result-path-throw",
+      "placement-determinism", "header-hygiene",
+      "metrics-naming", "nodiscard-result",
       "stale-suppression"};
   return kIds;
 }
@@ -929,6 +1126,14 @@ std::vector<Finding> Analyzer::run(const Options& opts) {
            "defining function but captures locals by reference; join "
            "before returning or capture by value");
     }
+  }
+
+  // ---- token rules ---------------------------------------------------------
+  for (const FileModel& fm : files_) {
+    check_tokens(fm, race_,
+                 [&](int line, const std::string& rule, std::string message) {
+                   emit(fm.path, line, rule, std::move(message));
+                 });
   }
 
   // ---- stale-suppression ---------------------------------------------------

@@ -1,8 +1,27 @@
 #pragma once
 
-/// rds_analyze: flow-aware, whole-program static analysis for this
-/// repository (docs/static_analysis.md).  Eleven rule families on top of
-/// the lexer + CFG + call-graph + summary + lockset layers:
+/// rds_analyze: the static analyzer for this repository
+/// (docs/static_analysis.md).  Seventeen rules over one front end (the
+/// lexer and the per-file model of cfg.hpp).
+///
+/// Token rules read one file's tokens and functions:
+///
+///   atomic-memory-order   every std::atomic operation spells its
+///                         memory_order (compare_exchange needs both the
+///                         success and the failure order)
+///   result-path-throw     no `throw` inside try_* (Result-returning) or
+///                         noexcept functions; a lambda answers for its
+///                         own body
+///   placement-determinism no std::random_device / time-seeded entropy in
+///                         placement/ (placement must be a pure function
+///                         of its inputs)
+///   header-hygiene        headers start with #pragma once and never say
+///                         `using namespace` outside a function body
+///   metrics-naming        metric family literals follow the `rds_` scheme
+///   nodiscard-result      Result-returning try_* declarations (and
+///                         pointer-swapping exchange()) are [[nodiscard]]
+///
+/// Flow rules add the CFG + call-graph + summary + lockset layers:
 ///
 ///   lock-order            cycles in the mutex acquisition graph
 ///                         (summary-propagated through calls), and
@@ -46,11 +65,13 @@
 ///                         a consistently locked member with no
 ///                         annotation (missing), or an annotation naming
 ///                         a lock the access paths do not hold (wrong)
-///   stale-suppression     a `// rds_lint: allow(rule)` comment that no
-///                         longer matches any finding of this tool
 ///
-/// `// rds_lint: allow(rule) -- reason` suppressions carry over from
-/// rds_lint unchanged.
+/// And one over both families:
+///
+///   stale-suppression     a `// rds_lint: allow(rule) -- reason` comment
+///                         naming one of the rules above that no longer
+///                         shields a finding (only without a rule filter;
+///                         ids this tool does not own are left alone)
 
 #include <string>
 #include <string_view>

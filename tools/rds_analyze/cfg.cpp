@@ -62,7 +62,12 @@ DeclKind classify(const std::vector<const Tok*>& decl) {
       }
       continue;
     }
-    if (t.text == "namespace") return DeclKind::kNamespace;
+    // A linkage block (`extern "C" {`) scopes like a namespace.
+    if (t.text == "namespace" ||
+        (t.text == "extern" && i + 1 < decl.size() &&
+         decl[i + 1]->kind == Kind::kString)) {
+      return DeclKind::kNamespace;
+    }
     if (t.text == "class" || t.text == "struct" || t.text == "enum" ||
         t.text == "union") {
       return DeclKind::kClass;
@@ -367,6 +372,8 @@ Function make_lambda(const std::vector<Tok>& toks, std::size_t intro,
   fn.cls = parent.cls;
   fn.is_lambda = true;
   fn.line = toks[body_open].line;
+  fn.open = body_open;
+  fn.close = body_close;
   fn.name = parent.name + "::lambda@" + std::to_string(fn.line);
   fn.display = parent.display + "::lambda@" + std::to_string(fn.line);
   for (std::size_t k = intro; k < body_open; ++k) {
@@ -488,13 +495,30 @@ FileModel build_file_model(std::string path, std::string_view text) {
           fn.cls = sig.cls.empty() ? enclosing_class() : sig.cls;
           if (has_ident(decl, "friend")) fn.cls.clear();
           fn.name = sig.name;
-          fn.display = fn.cls.empty() ? fn.name : fn.cls + "::" + fn.name;
           fn.line = decl.empty() ? t.line : decl.front()->line;
-          for (const Tok* d : decl) fn.decl.push_back(*d);
+          // A lambda initializing a namespace- or class-scope variable
+          // (`const auto kFn = [](int v) noexcept { ... };`) is a function
+          // of its own, declared from its capture list on.
+          std::size_t intro = 0;
+          if (fn.name.empty() && sig.paren > 0 &&
+              decl[sig.paren - 1]->text == "]") {
+            intro = sig.paren - 1;
+            while (intro > 0 && decl[intro]->text != "[") --intro;
+            fn.is_lambda = true;
+            fn.line = t.line;
+            fn.name = "lambda@" + std::to_string(fn.line);
+          }
+          fn.display = fn.cls.empty() ? fn.name : fn.cls + "::" + fn.name;
+          fn.open = i;
+          fn.close = close;
+          for (std::size_t k = intro; k < decl.size(); ++k) {
+            fn.decl.push_back(*decl[k]);
+          }
           fn.body = extract_body(toks, i + 1, close, fn, fm.functions);
           if (!fn.name.empty()) {
-            Declaration d = make_declaration(decl, enclosing_class());
-            fm.decls.push_back(std::move(d));
+            if (!fn.is_lambda) {
+              fm.decls.push_back(make_declaration(decl, enclosing_class()));
+            }
             fm.functions.push_back(std::move(fn));
           }
           i = std::min(close + 1, toks.size());

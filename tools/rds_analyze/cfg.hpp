@@ -40,6 +40,8 @@ struct Function {
   std::string parent_display;  ///< lambdas: `display` of the enclosing function
   std::size_t parent_tok = 0;  ///< lambdas: index of the capture '[' in the
                                ///< enclosing function's body tokens
+  std::size_t open = 0;   ///< index of the body's '{' in FileModel::toks
+  std::size_t close = 0;  ///< index of its matching '}'
   std::vector<Tok> decl;  ///< signature tokens (return type .. before '{');
                           ///< for lambdas: capture list + parameters
   std::vector<Tok> body;  ///< code tokens inside '{ }'; nested lambda bodies

@@ -1,7 +1,8 @@
 // rds_analyze CLI (docs/static_analysis.md).
 //
 //   rds_analyze [options] [path...]
-//     --rule <id>            run only this rule (repeatable)
+//     --rule <id>            run only this rule (repeatable; an unknown id
+//                            is a usage error)
 //     --list-rules           print rule ids and exit
 //     --root <dir>           root for relative paths (default: cwd)
 //     -p <compile_commands>  analyze the files of a compilation database
@@ -15,9 +16,12 @@
 //                            the lambda escape table to <f> as JSON
 //
 // Paths may be files or directories (recursed, skipping build/ and
-// hidden directories).  Exit codes: 0 clean (or fully baselined),
-// 1 non-baselined findings, 2 usage or I/O error.
+// hidden directories); a file reached twice, say by absolute path from the
+// compilation database and by relative path from a walk, counts once.
+// Exit codes: 0 clean (or fully baselined), 1 non-baselined findings,
+// 2 usage or I/O error.
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -87,6 +91,12 @@ int main(int argc, char** argv) {
     if (arg == "--rule") {
       const char* v = value();
       if (v == nullptr) return usage();
+      const auto& ids = rds::analyze::rule_ids();
+      if (std::find(ids.begin(), ids.end(), v) == ids.end()) {
+        std::cerr << "rds_analyze: unknown rule '" << v
+                  << "' (see --list-rules)\n";
+        return 2;
+      }
       opts.only_rules.emplace_back(v);
       continue;
     }
@@ -136,18 +146,18 @@ int main(int argc, char** argv) {
     paths.push_back(arg);
   }
 
-  std::vector<std::string> sources;
   if (!compile_db.empty()) {
     std::string text;
     if (!read_file(compile_db, text)) {
       std::cerr << "rds_analyze: cannot open " << compile_db << "\n";
       return 2;
     }
-    sources = rds::analyze::compile_commands_files(text);
+    const std::vector<std::string> db =
+        rds::analyze::compile_commands_files(text);
+    paths.insert(paths.begin(), db.begin(), db.end());
   }
-  const std::vector<std::string> walked =
+  const std::vector<std::string> sources =
       rds::analyze::collect_sources(paths);
-  sources.insert(sources.end(), walked.begin(), walked.end());
   if (sources.empty()) return usage();
 
   Analyzer analyzer;

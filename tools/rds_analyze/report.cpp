@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
+#include <map>
 #include <set>
 #include <sstream>
 
@@ -224,7 +225,15 @@ std::vector<std::string> collect_sources(
     const std::string ext = p.extension().string();
     return ext == ".hpp" || ext == ".h" || ext == ".cpp" || ext == ".cc";
   };
-  std::set<std::string> out;
+  // canonical path -> first spelling seen, so one file reached by two
+  // spellings is analyzed once.
+  std::map<std::string, std::string> out;
+  const auto add = [&](const std::filesystem::path& p) {
+    std::error_code ec;
+    const std::filesystem::path canon =
+        std::filesystem::weakly_canonical(p, ec);
+    out.emplace(ec ? p.string() : canon.string(), p.string());
+  };
   for (const std::string& path : paths) {
     std::error_code ec;
     if (std::filesystem::is_directory(path, ec)) {
@@ -239,16 +248,19 @@ std::vector<std::string> collect_sources(
             (name == "build" || (!name.empty() && name.front() == '.'))) {
           it.disable_recursion_pending();
         } else if (it->is_regular_file(ec) && analyzable(p)) {
-          out.insert(p.string());
+          add(p);
         }
         it.increment(ec);
         if (ec) break;
       }
     } else {
-      out.insert(path);
+      add(path);
     }
   }
-  return {out.begin(), out.end()};
+  std::vector<std::string> files;
+  files.reserve(out.size());
+  for (const auto& [canon, spelling] : out) files.push_back(spelling);
+  return files;
 }
 
 std::vector<std::string> compile_commands_files(const std::string& json_text) {
