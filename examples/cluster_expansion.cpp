@@ -31,8 +31,6 @@ void report_step(const std::string& what, const ClusterConfig& before,
                  const ClusterConfig& after) {
   const MovementReport rs =
       transition(PlacementKind::kRedundantShare, before, after);
-  const MovementReport pre =
-      transition(PlacementKind::kPrecomputed, before, after);
   const MovementReport stripe =
       transition(PlacementKind::kRoundRobin, before, after);
 
@@ -43,8 +41,6 @@ void report_step(const std::string& what, const ClusterConfig& before,
             << 100.0 * static_cast<double>(rs.optimal_moves) /
                    static_cast<double>(rs.total_copies)
             << "%)\n"
-            << "  precomputed     moved " << 100.0 * pre.moved_set_fraction()
-            << "% (same law, O(k) lookups; coupling costs adaptivity)\n"
             << "  raid-striping   moved " << 100.0 * stripe.moved_set_fraction()
             << "%\n";
 }

@@ -81,6 +81,7 @@ RsTables RsTables::build_from_weights(std::vector<DeviceId> uids,
   // capacity, matching the paper's b-tilde, which compensates via the round
   // that just passed the oversized bin.
   std::vector<double> pi(k + 1, 0.0);  // pi[m] at the current column
+  std::vector<double> next(k + 1);    // pi at column j + 1
   pi[k] = 1.0;
   const double total = t.suffix[0];
   for (std::size_t j = 0; j < n; ++j) {
@@ -110,14 +111,14 @@ RsTables RsTables::build_from_weights(std::vector<DeviceId> uids,
       }
     }
     // Advance the occupancies to column j + 1.
-    std::vector<double> next(k + 1, 0.0);
+    std::ranges::fill(next, 0.0);
     next[0] = pi[0];
     for (unsigned m = 1; m <= k; ++m) {
       const double f = t.select_prob[m - 1][j];
       next[m] += pi[m] * (1.0 - f);
       next[m - 1] += pi[m] * f;
     }
-    pi = std::move(next);
+    pi.swap(next);
   }
   return t;
 }

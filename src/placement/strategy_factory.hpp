@@ -18,15 +18,17 @@
 namespace rds {
 
 /// Which placement strategy backs a disk / volume / CLI run.
-/// Values are serialized into checkpoints (one byte); only append.
+/// Values are serialized into checkpoints (one byte); only append, and
+/// never reuse a removed value: 4 was a precomputed alias-table variant of
+/// Redundant Share whose placements differ from every kind below, so a
+/// checkpoint naming it is rejected as corrupt.
 enum class PlacementKind {
   kRedundantShare,      ///< the paper's strategy, O(n k) per access
-  kFastRedundantShare,  ///< Section 3.3 variant, O(k log n) per access
+  kFastRedundantShare,  ///< Section 3.3 variant, near-O(k) per access
+                        ///< at O(k n) memory
   kTrivial,             ///< k independent draws (for comparison only)
   kRoundRobin,          ///< static striping baseline
-  kPrecomputed,         ///< Section 3.3 full trade-off, O(k) per access
-                        ///< (per-state alias tables, O(k n^2) memory)
-  kTrivialRing,         ///< trivial draws on a consistent-hashing ring
+  kTrivialRing = 5,     ///< trivial draws on a consistent-hashing ring
                         ///< (the practical P2P form; tractable at 10k+
                         ///< devices where the exact race's O(n) is not)
 };
@@ -50,10 +52,9 @@ enum class PlacementKind {
 [[nodiscard]] std::string_view to_string(PlacementKind kind) noexcept;
 
 /// Parses a kind name: canonical spellings ("redundant-share",
-/// "fast-redundant-share", "trivial", "round-robin", "precomputed",
-/// "trivial-ring") plus the short CLI aliases ("rs", "fast", "rr", "pre",
-/// "ring").  nullopt for anything else; placement_kind_names() lists every
-/// accepted spelling.
+/// "fast-redundant-share", "trivial", "round-robin", "trivial-ring") plus
+/// the short CLI aliases ("rs", "fast", "rr", "ring").  nullopt for
+/// anything else; placement_kind_names() lists every accepted spelling.
 [[nodiscard]] std::optional<PlacementKind> parse_placement_kind(
     std::string_view name) noexcept;
 

@@ -199,8 +199,18 @@ VirtualDisk Snapshot::get_volume_meta(
   const std::uint32_t volume_id = get_u32(in);
   const std::string scheme_name = get_string(in);
   ClusterConfig config = get_config(in);
-  VirtualDisk disk(std::move(config), make_scheme_from_name(scheme_name),
-                   kind, volume_id, std::move(stores));
+  // The scheme name and the (kind, scheme, config) triple come from the
+  // stream: a name the parser rejects or a scheme that does not fit the
+  // stored devices is damage, reported like every other corrupt field.
+  VirtualDisk disk = [&] {
+    try {
+      return VirtualDisk(std::move(config), make_scheme_from_name(scheme_name),
+                         kind, volume_id, std::move(stores));
+    } catch (const std::invalid_argument& e) {
+      throw std::runtime_error("snapshot: volume " +
+                               std::to_string(volume_id) + ": " + e.what());
+    }
+  }();
   {
     // The disk is private to this function, but its block/checksum tables
     // are lock-guarded members; take the lock so the access is provably

@@ -35,7 +35,8 @@ class Snapshot {
   static void save_disk(const VirtualDisk& disk, std::ostream& out);
 
   /// Restores a disk saved by save_disk.  Throws std::runtime_error on a
-  /// bad magic/version or truncated stream.
+  /// bad magic/version, a truncated stream, or a stored placement kind,
+  /// scheme name or device set that does not build a disk.
   static VirtualDisk load_disk(std::istream& in);
 
   /// Serializes a pool: shared stores once, then every volume's metadata.

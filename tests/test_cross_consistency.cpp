@@ -1,15 +1,15 @@
-// Cross-consistency of RedundantShare, FastRedundantShare, and the
-// factory-constructed PrecomputedRedundantShare.
+// Cross-consistency of RedundantShare and the factory-constructed
+// FastRedundantShare.
 //
 // The variants draw from the SAME per-copy law (the fast variant skips
-// the rejected columns with one log-survival binary search instead of n
-// Bernoulli draws; the precomputed variant samples per-state alias tables)
-// but use different random couplings, so placements are not samplewise
-// identical.  What must agree is the distribution: for every copy index r,
-// the empirical distribution of the device receiving copy r must match the
-// closed-form law exact_copy_index_law() -- for ALL variants, on the same
-// configurations, including the first k-1 copies where the selection chain
-// (not the rendezvous race) governs.  The precomputed strategy goes through
+// the rejected columns with one guided search of a log-survival array
+// instead of n Bernoulli draws) but use different random couplings, so
+// placements are not samplewise identical.  What must agree is the
+// distribution: for every copy index r, the empirical distribution of the
+// device receiving copy r must match the closed-form law
+// exact_copy_index_law() -- for both variants, on the same configurations,
+// including the first k-1 copies where the selection chain (not the
+// rendezvous race) governs.  The fast strategy goes through
 // make_replication_strategy so the path VirtualDisk::apply_config serves is
 // the path under test.
 #include <gtest/gtest.h>
@@ -18,7 +18,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "src/core/fast_redundant_share.hpp"
 #include "src/core/redundant_share.hpp"
 #include "src/placement/strategy_factory.hpp"
 #include "src/util/stats.hpp"
@@ -95,7 +94,8 @@ void cross_check(const std::vector<std::uint64_t>& caps, unsigned k,
                  std::uint64_t balls = 200'000) {
   const ClusterConfig config = cluster_from(caps);
   const RedundantShare slow(config, k);
-  const FastRedundantShare fast(config, k);
+  const auto fast =
+      make_replication_strategy(PlacementKind::kFastRedundantShare, config, k);
   const std::vector<std::vector<double>> law = slow.exact_copy_index_law();
 
   // Row r of the law is a probability distribution.
@@ -110,13 +110,8 @@ void cross_check(const std::vector<std::uint64_t>& caps, unsigned k,
 
   expect_matches_law(slow, slow.canonical_uids(), law, balls,
                      "redundant-share");
-  expect_matches_law(fast, slow.canonical_uids(), law, balls,
+  expect_matches_law(*fast, slow.canonical_uids(), law, balls,
                      "fast-redundant-share");
-
-  const auto pre =
-      make_replication_strategy(PlacementKind::kPrecomputed, config, k);
-  expect_matches_law(*pre, slow.canonical_uids(), law, balls,
-                     "precomputed-redundant-share");
 }
 
 TEST(CrossConsistency, HomogeneousK2) { cross_check({100, 100, 100, 100}, 2); }

@@ -123,11 +123,12 @@ TEST(Concurrency, ReadersSeeConsistentSnapshotsDuringSwaps) {
   EXPECT_GE(disk.placement_snapshot()->epoch, 1u + kSwaps);
 }
 
-// Strategy-kind swap to/from the precomputed O(k) path: the alias tables
-// are rebuilt by the constructor inside try_set_strategy and published
-// through the same RCU epoch, so readers must stay consistent while the
-// heavyweight table build and the swap race past them in both directions.
-TEST(Concurrency, ReadersSurviveSwapsToAndFromPrecomputed) {
+// Strategy-kind swaps between the fast, exact and trivial kinds: each
+// kind's tables (the fast variant's log-survival arrays and guide tables
+// included) are built by the constructor inside try_set_strategy and
+// published through the same RCU epoch, so readers must stay consistent
+// while the table builds and the swaps race past them in every direction.
+TEST(Concurrency, ReadersSurviveStrategyKindSwaps) {
   VirtualDisk disk = make_disk(big_pool());
 
   constexpr int kReaders = 3;
@@ -165,9 +166,9 @@ TEST(Concurrency, ReadersSurviveSwapsToAndFromPrecomputed) {
     });
   }
 
-  const PlacementKind kinds[3] = {PlacementKind::kPrecomputed,
-                                  PlacementKind::kFastRedundantShare,
-                                  PlacementKind::kRedundantShare};
+  const PlacementKind kinds[3] = {PlacementKind::kFastRedundantShare,
+                                  PlacementKind::kRedundantShare,
+                                  PlacementKind::kTrivial};
   for (int s = 0; s < kSwaps; ++s) {
     const Result<void> r = disk.try_set_strategy(kinds[s % 3]);
     ASSERT_TRUE(r.ok()) << r.error().message;

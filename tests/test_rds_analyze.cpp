@@ -431,6 +431,37 @@ TEST(RdsAnalyze, CallGraphBuildsWrapperEdges) {
   EXPECT_TRUE(wrapper_edge);
 }
 
+TEST(RdsAnalyze, GtestBodiesAreSeparateCallGraphNodes) {
+  // Each TEST body is its own function, named Suite.Name: folding them into
+  // one `TEST` node would merge every test's calls into a single caller.
+  Analyzer analyzer;
+  analyzer.add_text("gtest_bodies.cpp",
+                    "void helper_a() {}\n"
+                    "void helper_b() {}\n"
+                    "TEST(Suite, First) { helper_a(); }\n"
+                    "TEST_F(Suite, Second) { helper_b(); }\n");
+  (void)analyzer.run();
+  using rds::analyze::MethodKey;
+  const auto& methods = analyzer.callgraph().methods();
+  EXPECT_TRUE(methods.contains(MethodKey{"", "Suite.First"}));
+  EXPECT_TRUE(methods.contains(MethodKey{"", "Suite.Second"}));
+  EXPECT_FALSE(methods.contains(MethodKey{"", "TEST"}));
+  EXPECT_FALSE(methods.contains(MethodKey{"", "TEST_F"}));
+  const auto callees = [&](const MethodKey& from) {
+    std::set<std::string> out;
+    const auto it = analyzer.callgraph().edges().find(from);
+    if (it == analyzer.callgraph().edges().end()) return out;
+    for (const rds::analyze::CallEdge& e : it->second) {
+      out.insert(e.to.second);
+    }
+    return out;
+  };
+  EXPECT_EQ(callees(MethodKey{"", "Suite.First"}),
+            std::set<std::string>{"helper_a"});
+  EXPECT_EQ(callees(MethodKey{"", "Suite.Second"}),
+            std::set<std::string>{"helper_b"});
+}
+
 TEST(RdsAnalyze, CallGraphBuildsFactoryEdges) {
   Analyzer analyzer;
   ASSERT_TRUE(analyzer.add_file(fixture_path("factory_resolution_bad.cpp")));

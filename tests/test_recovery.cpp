@@ -353,6 +353,59 @@ TEST(Recovery, CorruptCheckpointBodyIsCorruption) {
   EXPECT_NE(recovered.error().message.find("checkpoint"), std::string::npos);
 }
 
+TEST(Recovery, RemovedPrecomputedKindIsCorruption) {
+  // Kind 4 (a precomputed alias-table strategy) is no longer built: its
+  // placements differ from every remaining kind, so neither a checkpoint
+  // byte nor a journal record naming it may load as something else.
+  VirtualDisk disk(base_config(), std::make_shared<MirroringScheme>(2));
+  std::stringstream full;
+  write_checkpoint(disk, 0, full);
+  std::string bytes = full.str();
+  // An empty disk's volume section: kind byte, u32 volume id, u32 name
+  // length, scheme name.
+  const std::size_t kind_at = bytes.find(disk.scheme().name()) - 9;
+  ASSERT_EQ(static_cast<std::uint8_t>(bytes[kind_at]),
+            static_cast<std::uint8_t>(disk.placement_kind()));
+  bytes[kind_at] = 4;
+  std::stringstream byte_four(bytes);
+  const auto from_checkpoint = Recovery::recover_disk(byte_four, nullptr);
+  ASSERT_FALSE(from_checkpoint.ok());
+  EXPECT_EQ(from_checkpoint.error().code, ErrorCode::kCorruption);
+  EXPECT_NE(from_checkpoint.error().message.find("unknown placement kind 4"),
+            std::string::npos)
+      << from_checkpoint.error().message;
+
+  std::stringstream ckpt;
+  write_checkpoint(disk, 0, ckpt);
+  std::stringstream wal;
+  JournalWriter writer(wal);
+  Record set_strategy = make_set_strategy("", PlacementKind::kRedundantShare);
+  set_strategy.detail = "precomputed";
+  ASSERT_TRUE(writer.append(set_strategy).ok());
+  const auto from_journal = Recovery::recover_disk(ckpt, &wal);
+  ASSERT_FALSE(from_journal.ok());
+  EXPECT_EQ(from_journal.error().code, ErrorCode::kCorruption);
+  EXPECT_NE(from_journal.error().message.find("'precomputed'"),
+            std::string::npos)
+      << from_journal.error().message;
+}
+
+TEST(Recovery, DamagedSchemeNameInCheckpointIsCorruption) {
+  VirtualDisk disk(base_config(), std::make_shared<MirroringScheme>(2));
+  std::stringstream full;
+  write_checkpoint(disk, 0, full);
+  std::string bytes = full.str();
+  const std::size_t digit_at = bytes.find("mirror(k=2)") + 9;
+  ASSERT_EQ(bytes[digit_at], '2');
+  bytes[digit_at] = 'x';
+  std::stringstream damaged(bytes);
+  const auto recovered = Recovery::recover_disk(damaged, nullptr);
+  ASSERT_FALSE(recovered.ok());
+  EXPECT_EQ(recovered.error().code, ErrorCode::kCorruption);
+  EXPECT_NE(recovered.error().message.find("mirror(k=x)"), std::string::npos)
+      << recovered.error().message;
+}
+
 /// `bytes` with the 8-byte snapshot magic at `at` (expected to read
 /// `current`) turned back into its version-1 spelling.
 std::string as_version_one(std::string bytes, std::size_t at,

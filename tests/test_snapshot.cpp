@@ -149,13 +149,41 @@ TEST(Snapshot, RejectsUnknownPlacementKind) {
   const std::size_t kind_at = name_at - 9;
   ASSERT_EQ(static_cast<std::uint8_t>(full[kind_at]),
             static_cast<std::uint8_t>(disk.placement_kind()));
-  for (const std::uint8_t bad : {std::uint8_t{6}, std::uint8_t{0x7F},
-                                 std::uint8_t{0xFF}}) {
+  // 4 was the removed precomputed kind: its byte must not load as any
+  // other kind (their placements differ), so it is as unknown as 6.
+  for (const std::uint8_t bad : {std::uint8_t{4}, std::uint8_t{6},
+                                 std::uint8_t{0x7F}, std::uint8_t{0xFF}}) {
     std::string damaged = full;
     damaged[kind_at] = static_cast<char>(bad);
     std::stringstream in(damaged);
     EXPECT_THROW((void)Snapshot::load_disk(in), std::runtime_error)
         << "kind byte " << int{bad};
+  }
+}
+
+TEST(Snapshot, DamagedSchemeNameIsRuntimeError) {
+  // Same layout as above; damage the scheme parameter in place.  A name
+  // the parser rejects and a parameter the scheme rejects both surface as
+  // the documented runtime_error, never as the parser's invalid_argument.
+  VirtualDisk disk(pool_config(), std::make_shared<MirroringScheme>(2));
+  std::stringstream stream;
+  Snapshot::save_disk(disk, stream);
+  const std::string full = stream.str();
+  const std::size_t digit_at = full.find("mirror(k=2)") + 9;
+  ASSERT_EQ(full[digit_at], '2');
+  for (const char bad : {'x', '0'}) {
+    std::string damaged = full;
+    damaged[digit_at] = bad;
+    std::stringstream in(damaged);
+    try {
+      (void)Snapshot::load_disk(in);
+      ADD_FAILURE() << "mirror(k=" << bad << ") loaded";
+    } catch (const std::invalid_argument& e) {
+      ADD_FAILURE() << "invalid_argument escaped: " << e.what();
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("snapshot"), std::string::npos)
+          << e.what();
+    }
   }
 }
 

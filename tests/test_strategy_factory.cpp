@@ -9,7 +9,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "src/core/precomputed_redundant_share.hpp"
 #include "src/core/redundant_share.hpp"
 #include "src/placement/strategy_factory.hpp"
 
@@ -26,7 +25,6 @@ constexpr PlacementKind kAllKinds[] = {
     PlacementKind::kFastRedundantShare,
     PlacementKind::kTrivial,
     PlacementKind::kRoundRobin,
-    PlacementKind::kPrecomputed,
     PlacementKind::kTrivialRing,
 };
 
@@ -62,16 +60,6 @@ TEST(StrategyFactory, RejectsBadParameters) {
     EXPECT_THROW(make_replication_strategy(kind, config, 5),
                  std::invalid_argument)
         << to_string(kind);
-  }
-}
-
-TEST(StrategyFactory, PrecomputedProductMatchesDirectConstruction) {
-  const ClusterConfig config = make_cluster();
-  const PrecomputedRedundantShare direct(config, 3);
-  const auto made =
-      make_replication_strategy(PlacementKind::kPrecomputed, config, 3);
-  for (std::uint64_t address = 0; address < 1000; ++address) {
-    EXPECT_EQ(made->place(address), direct.place(address)) << address;
   }
 }
 
@@ -128,13 +116,13 @@ TEST(StrategyFactory, ParsesShortAliases) {
             PlacementKind::kFastRedundantShare);
   EXPECT_EQ(parse_placement_kind("rr"), PlacementKind::kRoundRobin);
   EXPECT_EQ(parse_placement_kind("trivial"), PlacementKind::kTrivial);
-  EXPECT_EQ(parse_placement_kind("pre"), PlacementKind::kPrecomputed);
-  EXPECT_EQ(parse_placement_kind("precomputed"),
-            PlacementKind::kPrecomputed);
   EXPECT_EQ(parse_placement_kind("ring"), PlacementKind::kTrivialRing);
   EXPECT_EQ(parse_placement_kind("trivial-ring"),
             PlacementKind::kTrivialRing);
   EXPECT_FALSE(parse_placement_kind("bogus").has_value());
+  // The removed precomputed kind's spellings no longer parse.
+  EXPECT_FALSE(parse_placement_kind("pre").has_value());
+  EXPECT_FALSE(parse_placement_kind("precomputed").has_value());
   EXPECT_FALSE(parse_placement_kind("").has_value());
 }
 

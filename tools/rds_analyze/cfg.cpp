@@ -133,6 +133,13 @@ struct FnSig {
   std::size_t paren = 0;  ///< index of '(' in decl
 };
 
+/// gtest's body-defining macros: `TEST(Suite, Name) { ... }` defines one
+/// function per (Suite, Name), not one function called TEST.
+bool is_gtest_body_macro(std::string_view name) {
+  return name == "TEST" || name == "TEST_F" || name == "TEST_P" ||
+         name == "TYPED_TEST";
+}
+
 FnSig fn_signature(const std::vector<const Tok*>& decl) {
   FnSig sig;
   for (std::size_t i = 0; i < decl.size(); ++i) {
@@ -140,6 +147,13 @@ FnSig fn_signature(const std::vector<const Tok*>& decl) {
     sig.paren = i;
     if (i == 0) return sig;
     const Tok& prev = *decl[i - 1];
+    if (prev.kind == Kind::kIdent && is_gtest_body_macro(prev.text) &&
+        i + 4 < decl.size() && decl[i + 1]->kind == Kind::kIdent &&
+        decl[i + 2]->text == "," && decl[i + 3]->kind == Kind::kIdent &&
+        decl[i + 4]->text == ")") {
+      sig.name = decl[i + 1]->text + "." + decl[i + 3]->text;
+      return sig;
+    }
     if (prev.kind == Kind::kIdent) {
       sig.name = prev.text;
       if (i >= 3 && decl[i - 2]->text == "::" &&

@@ -695,8 +695,7 @@ int cmd_loadsim(const Args& args) {
 
 int cmd_churnsim(const Args& args) {
   // Fleet: explicit --caps, or a synthesized 16-step capacity ladder from
-  // --devices (heterogeneous enough to exercise weighted placement without
-  // blowing up the precomputed strategy's per-state tables).
+  // --devices (heterogeneous enough to exercise weighted placement).
   ClusterConfig config;
   if (!args.caps.empty()) {
     config = config_from(args.caps);
@@ -710,8 +709,8 @@ int cmd_churnsim(const Args& args) {
   }
 
   // Sweep set: --strategy all covers every placement kind; an explicit
-  // --strategy runs one; the default is the O(k log n) variant (the exact
-  // walk is O(n k) per placement -- prohibitive at 10k+ devices).
+  // --strategy runs one; the default is the near-O(k) fast variant (the
+  // exact walk is O(n k) per placement -- prohibitive at 10k+ devices).
   std::vector<PlacementKind> kinds;
   if (args.strategy_all) {
     const auto all = all_placement_kinds();
