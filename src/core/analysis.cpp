@@ -11,11 +11,13 @@
 
 namespace rds {
 
-std::vector<double> RedundantShare::exact_expected_copies() const {
+std::vector<std::vector<double>> RedundantShare::exact_copy_index_law() const {
   const std::size_t n = tables_.size();
   const unsigned k = tables_.k;
-  std::vector<double> expected(n, 0.0);
-
+  // Copy index r is placed by the selection in state (m = k - r, j), so its
+  // law is the per-state selection mass of that level.
+  std::vector<std::vector<double>> law(k);
+  for (std::vector<double>& row : law) row.assign(n, 0.0);
   // pi[m] = P(m copies still needed when the walk reaches column j).
   std::vector<double> pi(k + 1, 0.0);
   pi[k] = 1.0;
@@ -24,35 +26,24 @@ std::vector<double> RedundantShare::exact_expected_copies() const {
     next[0] = pi[0];
     for (unsigned m = 1; m <= k; ++m) {
       const double f = tables_.f(m, j);
-      expected[j] += pi[m] * f;      // the select branch places a copy here
+      law[k - m][j] = pi[m] * f;     // the select branch places copy k - m
       next[m] += pi[m] * (1.0 - f);  // skip branch
       next[m - 1] += pi[m] * f;      // select branch
     }
     pi = std::move(next);
   }
-  return expected;
+  return law;
 }
 
-std::vector<std::vector<double>> RedundantShare::exact_copy_index_law() const {
-  const std::size_t n = tables_.size();
-  const unsigned k = tables_.k;
-  // Copy index r is placed by the selection in state (m = k - r, j), so its
-  // law is the per-state selection mass of that level.
-  std::vector<std::vector<double>> law(k, std::vector<double>(n, 0.0));
-  std::vector<double> pi(k + 1, 0.0);
-  pi[k] = 1.0;
-  for (std::size_t j = 0; j < n; ++j) {
-    std::vector<double> next(k + 1, 0.0);
-    next[0] = pi[0];
-    for (unsigned m = 1; m <= k; ++m) {
-      const double f = tables_.f(m, j);
-      law[k - m][j] = pi[m] * f;
-      next[m] += pi[m] * (1.0 - f);
-      next[m - 1] += pi[m] * f;
-    }
-    pi = std::move(next);
+std::vector<double> RedundantShare::exact_expected_copies() const {
+  // The column sums of the copy-index law, added in the walk's m = 1..k
+  // order (rows r = k-1 down to 0).
+  const std::vector<std::vector<double>> law = exact_copy_index_law();
+  std::vector<double> expected(tables_.size(), 0.0);
+  for (std::size_t r = law.size(); r-- > 0;) {
+    for (std::size_t j = 0; j < expected.size(); ++j) expected[j] += law[r][j];
   }
-  return law;
+  return expected;
 }
 
 }  // namespace rds

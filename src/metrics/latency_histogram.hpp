@@ -4,9 +4,10 @@
 // above, each power-of-two octave is split into 32 linear sub-buckets, so
 // the relative quantile error is bounded by 1/32 (~3%) over the full uint64
 // range at a fixed 1920 buckets (~15 KB).  bucket_of() is two bit
-// operations -- no std::log on the record path, unlike util/LogHistogram,
-// and every slot is a relaxed atomic, so record() is lock-free and safe
-// from any thread.  record() does one shared RMW, on its bucket: the sum
+// operations -- no std::log on the record path -- and every slot is a
+// relaxed atomic, so record() is lock-free and safe from any thread.  It is
+// the project's one histogram: the registry's instruments and the load
+// simulator's response quantiles (src/sim/load_sim.cpp) both use it.  record() does one shared RMW, on its bucket: the sum
 // lives in a sharded Counter, the count is the sum of the buckets, and the
 // min/max CAS loops write only on a new extreme.
 //

@@ -9,7 +9,6 @@
 #include "src/metrics/registry.hpp"
 #include "src/storage/virtual_disk.hpp"
 #include "src/util/gauge_guard.hpp"
-#include "src/util/histogram.hpp"
 
 namespace rds {
 
@@ -130,9 +129,11 @@ LoadResult run_simulation(
     result.devices[i].uid = config[i].uid;
   }
 
-  // Log-bucketed latency histogram: 2% relative quantile error, O(1) memory
-  // in the trace length.
-  LogHistogram responses(0.1, 1e9, 1.02);
+  // Response times in ns, the value rds_loadsim_response_latency_ns gets:
+  // quantiles within ~3% (bucket upper bounds), O(1) memory in the trace
+  // length.  Mean and max stay exact in us.
+  metrics::LatencyHistogram responses;
+  double response_sum_us = 0.0;
   // Registry instruments so live runs surface the simulated device behavior
   // next to the storage/placement metrics (docs/metrics.md).
   metrics::Registry& reg = metrics::Registry::global();
@@ -179,12 +180,16 @@ LoadResult run_simulation(
 
     result.devices[dev].requests += 1;
     result.devices[dev].busy_us += service_us;
-    responses.add(finish - r.arrival_us);
+    const double response_us = finish - r.arrival_us;
+    const auto response_in_ns =
+        static_cast<std::uint64_t>(response_us * 1000.0);
+    responses.record(response_in_ns);
+    response_sum_us += response_us;
+    result.max_response_us = std::max(result.max_response_us, response_us);
     result.makespan_us = std::max(result.makespan_us, finish);
 
     requests_total.inc();
-    response_ns.record(
-        static_cast<std::uint64_t>((finish - r.arrival_us) * 1000.0));
+    response_ns.record(response_in_ns);
     const double wait_us = start - r.arrival_us;
     queue_wait_ns.record(static_cast<std::uint64_t>(wait_us * 1000.0));
     // FCFS backlog expressed in requests: how many mean service times fit
@@ -193,12 +198,17 @@ LoadResult run_simulation(
         static_cast<std::int64_t>(std::ceil(wait_us / model.mean_us())));
   }
 
-  if (responses.count() > 0) {
-    result.mean_response_us = responses.mean();
-    result.p50_response_us = responses.quantile(0.50);
-    result.p99_response_us = responses.quantile(0.99);
-    result.p999_response_us = responses.quantile(0.999);
-    result.max_response_us = responses.max();
+  const metrics::HistogramData served = responses.snapshot();
+  if (served.count > 0) {
+    result.mean_response_us =
+        response_sum_us / static_cast<double>(served.count);
+    // A quantile is its bucket's upper bound, which can lie above the max.
+    const auto quantile_us = [&](double q) {
+      return std::min(served.quantile(q) / 1000.0, result.max_response_us);
+    };
+    result.p50_response_us = quantile_us(0.50);
+    result.p99_response_us = quantile_us(0.99);
+    result.p999_response_us = quantile_us(0.999);
   }
   if (result.makespan_us > 0.0) {
     for (DeviceLoad& d : result.devices) {

@@ -17,7 +17,8 @@ namespace {
 ClusterConfig make_cluster() {
   std::vector<Device> devices;
   for (DeviceId uid = 0; uid < 12; ++uid) {
-    devices.push_back({uid, 500 + 150 * uid, "d" + std::to_string(uid)});
+    const std::string id = std::to_string(uid);
+    devices.push_back({uid, 500 + 150 * uid, "d" + id});
   }
   return ClusterConfig(std::move(devices));
 }

@@ -54,7 +54,8 @@ TEST_P(VirtualDiskFuzz, RandomOperationSequenceKeepsIntegrity) {
   // fragment count so removals stay legal.
   std::vector<Device> devices;
   for (DeviceId uid = 0; uid < 8; ++uid) {
-    devices.push_back({uid, 2000 + 500 * uid, "d" + std::to_string(uid)});
+    const std::string id = std::to_string(uid);
+    devices.push_back({uid, 2000 + 500 * uid, "d" + id});
   }
   VirtualDisk disk(ClusterConfig(std::move(devices)), make_scheme(c.scheme),
                    c.placement);
@@ -144,6 +145,7 @@ INSTANTIATE_TEST_SUITE_P(
         case PlacementKind::kFastRedundantShare: placement = "fast"; break;
         case PlacementKind::kTrivial: placement = "trivial"; break;
         case PlacementKind::kRoundRobin: placement = "rr"; break;
+        case PlacementKind::kTrivialRing: placement = "ring"; break;
       }
       return scheme_tag(info.param.scheme) + "_" + placement + "_seed" +
              std::to_string(info.param.seed);

@@ -116,7 +116,9 @@ TEST(JournalWriter, AppendsAreRoundTrippableAndLsnsContiguous) {
 
 TEST(JournalWriter, StartLsnZeroIsPromotedToOne) {
   std::stringstream stream;
-  JournalWriter writer(stream, {.start_lsn = 0});
+  JournalWriter::Options options;
+  options.start_lsn = 0;
+  JournalWriter writer(stream, options);
   EXPECT_EQ(writer.last_lsn(), 0u);
   auto lsn = writer.append(make_rebuild());
   ASSERT_TRUE(lsn.ok());
@@ -201,7 +203,9 @@ TEST(JournalReader, DetectsLsnDiscontinuity) {
   JournalWriter wa(a);
   ASSERT_TRUE(wa.append(make_rebuild()).ok());
   std::stringstream b;
-  JournalWriter wb(b, {.write_header = false});
+  JournalWriter::Options headerless;
+  headerless.write_header = false;
+  JournalWriter wb(b, headerless);
   ASSERT_TRUE(wb.append(make_rebuild()).ok());
 
   std::stringstream spliced(a.str() + b.str());

@@ -22,7 +22,8 @@ ClusterConfig small_pool() {
 ClusterConfig big_pool() {
   std::vector<Device> devices;
   for (DeviceId uid = 1; uid <= 9; ++uid) {
-    devices.push_back({uid, 700 + 100 * uid, "d" + std::to_string(uid)});
+    const std::string id = std::to_string(uid);
+    devices.push_back({uid, 700 + 100 * uid, "d" + id});
   }
   return ClusterConfig(std::move(devices));
 }

@@ -141,6 +141,29 @@ TEST(LoadSim, LeastLoadedSpreadsReplicas) {
   EXPECT_DOUBLE_EQ(r.max_response_us, 50.0);
 }
 
+TEST(LoadSim, MeanAndMaxStayExactOffTheNanosecondGrid) {
+  // Responses of 1.2345 us and 2.219 us are not whole nanoseconds: the
+  // quantiles come from ns buckets, but the mean and max must be the exact
+  // us values.
+  const ClusterConfig pool = make_pool();
+  const RedundantShare strategy(pool, 2);
+  const BlockMap map(strategy, 10);
+  const std::vector<Request> trace{{0.0, 3}, {0.25, 3}, {10.0, 3}};
+  const ServiceModel model = fixed(1.2345, 0.0);
+  PrimaryOnlySelector selector;
+  Xoshiro256 rng(1);
+  const LoadResult r =
+      simulate_load(pool, map, trace,
+                    std::span<const ServiceModel>(&model, 1), selector, rng);
+  const double service = model.mean_us();
+  const double first = service - 0.0;
+  const double second = (service + service) - 0.25;  // queued behind first
+  const double third = (10.0 + service) - 10.0;
+  EXPECT_DOUBLE_EQ(r.mean_response_us, (first + second + third) / 3.0);
+  EXPECT_DOUBLE_EQ(r.max_response_us, second);
+  EXPECT_LE(r.p999_response_us, r.max_response_us);
+}
+
 TEST(LoadSim, UtilizationTracksCapacityUnderFairPlacement) {
   const ClusterConfig pool = make_pool();
   const RedundantShare strategy(pool, 2);
@@ -162,7 +185,7 @@ TEST(LoadSim, UtilizationTracksCapacityUnderFairPlacement) {
   // Quantiles are ordered by construction.
   EXPECT_LE(r.p50_response_us, r.p99_response_us);
   EXPECT_LE(r.p99_response_us, r.p999_response_us);
-  EXPECT_LE(r.p999_response_us, r.max_response_us * 1.03);
+  EXPECT_LE(r.p999_response_us, r.max_response_us);
 }
 
 TEST(LoadSim, PowerOfTwoBeatsRandomAtSkew) {

@@ -21,7 +21,8 @@ constexpr unsigned kK = 2;
 ClusterConfig pool(std::size_t n) {
   std::vector<Device> devices;
   for (DeviceId uid = 0; uid < n; ++uid) {
-    devices.push_back({uid, 10'000, "d" + std::to_string(uid)});
+    const std::string id = std::to_string(uid);
+    devices.push_back({uid, 10'000, "d" + id});
   }
   return ClusterConfig(std::move(devices));
 }

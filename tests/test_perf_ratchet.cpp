@@ -60,8 +60,8 @@ TEST(PerfRatchetJson, RejectsMalformedInputWithOffset) {
   for (const char* bad : {"{", "[1,]", "{\"a\" 1}", "tru", "\"unterminated",
                           "{\"a\": 1} trailing", "nonsense"}) {
     try {
-      parse_json(bad);
-      FAIL() << "accepted: " << bad;
+      const Json doc = parse_json(bad);
+      FAIL() << "accepted: " << bad << " as " << to_json(doc);
     } catch (const std::runtime_error& e) {
       EXPECT_NE(std::string(e.what()).find("json error at offset"),
                 std::string::npos)
@@ -89,6 +89,13 @@ TEST(PerfRatchetExtract, RejectsNonBenchmarkJson) {
                std::runtime_error);
 }
 
+BenchRow rate_row(std::string name, double rate) {
+  BenchRow row;
+  row.name = std::move(name);
+  row.rate = rate;
+  return row;
+}
+
 BenchRun run_with(std::initializer_list<BenchRow> rows,
                   std::string build = "release") {
   BenchRun run;
@@ -99,16 +106,16 @@ BenchRun run_with(std::initializer_list<BenchRow> rows,
 
 TEST(PerfRatchetCompare, PassesWithinTolerance) {
   Report report;
-  compare_runs(run_with({{"a", 100.0, {}}, {"b", 1000.0, {}}}),
-               run_with({{"a", 70.0, {}}, {"b", 1300.0, {}}}), {.tolerance = 0.40},
-               report);
+  compare_runs(run_with({rate_row("a", 100.0), rate_row("b", 1000.0)}),
+               run_with({rate_row("a", 70.0), rate_row("b", 1300.0)}),
+               {.tolerance = 0.40}, report);
   EXPECT_TRUE(report.ok()) << report.failures.front();
 }
 
 TEST(PerfRatchetCompare, FailsBeyondTolerance) {
   Report report;
-  compare_runs(run_with({{"a", 100.0, {}}}), run_with({{"a", 59.0, {}}}),
-               {.tolerance = 0.40}, report);
+  compare_runs(run_with({rate_row("a", 100.0)}),
+               run_with({rate_row("a", 59.0)}), {.tolerance = 0.40}, report);
   ASSERT_EQ(report.failures.size(), 1u);
   EXPECT_NE(report.failures[0].find("regression"), std::string::npos);
   EXPECT_NE(report.failures[0].find("`a`"), std::string::npos);
@@ -116,8 +123,9 @@ TEST(PerfRatchetCompare, FailsBeyondTolerance) {
 
 TEST(PerfRatchetCompare, FailsOnMissingBaselineRow) {
   Report report;
-  compare_runs(run_with({{"a", 100.0, {}}, {"gone", 5.0, {}}}),
-               run_with({{"a", 100.0, {}}, {"fresh", 1.0, {}}}), {}, report);
+  compare_runs(run_with({rate_row("a", 100.0), rate_row("gone", 5.0)}),
+               run_with({rate_row("a", 100.0), rate_row("fresh", 1.0)}), {},
+               report);
   ASSERT_EQ(report.failures.size(), 1u);
   EXPECT_NE(report.failures[0].find("`gone`"), std::string::npos);
   // The row the baseline lacks is a note (candidate for ratcheting in).
@@ -126,8 +134,8 @@ TEST(PerfRatchetCompare, FailsOnMissingBaselineRow) {
 
 TEST(PerfRatchetCompare, NotesLargeImprovements) {
   Report report;
-  compare_runs(run_with({{"a", 100.0, {}}}), run_with({{"a", 250.0, {}}}),
-               {.tolerance = 0.40}, report);
+  compare_runs(run_with({rate_row("a", 100.0)}),
+               run_with({rate_row("a", 250.0)}), {.tolerance = 0.40}, report);
   EXPECT_TRUE(report.ok());
   ASSERT_EQ(report.notes.size(), 1u);
   EXPECT_NE(report.notes[0].find("improved"), std::string::npos);
@@ -169,7 +177,8 @@ TEST(PerfRatchetSpeedup, ParsesRuleSpecs) {
 }
 
 TEST(PerfRatchetSpeedup, EnforcesMinimumRatio) {
-  const BenchRun run = run_with({{"fast", 500.0, {}}, {"slow", 100.0, {}}});
+  const BenchRun run =
+      run_with({rate_row("fast", 500.0), rate_row("slow", 100.0)});
   {
     Report report;
     check_speedup(run, {"fast", "slow", 4.0}, report);
@@ -215,9 +224,7 @@ TEST(PerfRatchetLatency, ParsesRuleSpecs) {
 }
 
 BenchRow slo_row(std::string name, double p99) {
-  BenchRow row;
-  row.name = std::move(name);
-  row.rate = 100.0;
+  BenchRow row = rate_row(std::move(name), 100.0);
   row.p99_us = p99;
   return row;
 }
@@ -267,7 +274,7 @@ TEST(PerfRatchetLatency, FailsOnMissingRowsOrCounters) {
   {
     // Row exists but carries no p99_us counter (not an SLO benchmark).
     Report report;
-    check_latency(run_with({slo_row("p2c", 340.0), {"plain", 5.0, {}}}),
+    check_latency(run_with({slo_row("p2c", 340.0), rate_row("plain", 5.0)}),
                   {"p2c", "plain", 1.0}, report);
     ASSERT_EQ(report.failures.size(), 1u);
     EXPECT_NE(report.failures[0].find("p99_us"), std::string::npos);
@@ -418,7 +425,7 @@ TEST(PerfRatchetCounter, FailsOnMissingRowsOrCounters) {
     // Row exists but carries no such counter.
     Report report;
     check_counter(run_with({counter_row("k3", {{"loss_ppm", 1.0}}),
-                            {"plain", 5.0, {}}}),
+                            rate_row("plain", 5.0)}),
                   {"loss_ppm", "k3", "plain", 1.0}, report);
     ASSERT_EQ(report.failures.size(), 1u);
     EXPECT_NE(report.failures[0].find("loss_ppm"), std::string::npos);

@@ -136,8 +136,8 @@ INSTANTIATE_TEST_SUITE_P(
                       PropertyCase{3, 302, true}, PropertyCase{4, 401, false},
                       PropertyCase{4, 402, true}, PropertyCase{5, 501, false}),
     [](const ::testing::TestParamInfo<PropertyCase>& info) {
-      return "k" + std::to_string(info.param.k) + "_seed" +
-             std::to_string(info.param.seed) +
+      const std::string k = std::to_string(info.param.k);
+      return "k" + k + "_seed" + std::to_string(info.param.seed) +
              (info.param.heavy_skew ? "_skewed" : "_mild");
     });
 

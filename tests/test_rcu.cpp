@@ -29,7 +29,8 @@ std::shared_ptr<const Box> box(std::uint64_t value) {
 ClusterConfig pool(std::uint64_t devices) {
   std::vector<Device> out;
   for (DeviceId uid = 1; uid <= devices; ++uid) {
-    out.push_back({uid, 700 + 100 * uid, "d" + std::to_string(uid)});
+    const std::string id = std::to_string(uid);
+    out.push_back({uid, 700 + 100 * uid, "d" + id});
   }
   return ClusterConfig(std::move(out));
 }

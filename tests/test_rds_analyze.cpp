@@ -462,6 +462,47 @@ TEST(RdsAnalyze, GtestBodiesAreSeparateCallGraphNodes) {
             std::set<std::string>{"helper_b"});
 }
 
+TEST(RdsAnalyze, EachProgramMainIsItsOwnCallGraphNode) {
+  // Two programs, two `main`s: one shared `main` node would merge both
+  // programs' calls into a single caller.  Benchmark registrations with a
+  // braced argument are statements, not function definitions.
+  Analyzer analyzer;
+  analyzer.add_text("tools/one/main.cpp",
+                    "void helper_a() {}\n"
+                    "int main() { helper_a(); return 0; }\n");
+  analyzer.add_text("bench/two.cpp",
+                    "void helper_b() {}\n"
+                    "void bm(int) {}\n"
+                    "BENCHMARK_TEMPLATE(bm, int)->Args({1, 2});\n"
+                    "BENCHMARK_CAPTURE(bm, one, {1});\n"
+                    "int main() { helper_b(); return 0; }\n");
+  (void)analyzer.run();
+  using rds::analyze::MethodKey;
+  const auto& methods = analyzer.callgraph().methods();
+  EXPECT_FALSE(methods.contains(MethodKey{"", "main"}));
+  EXPECT_FALSE(methods.contains(MethodKey{"", "BENCHMARK_TEMPLATE"}));
+  EXPECT_FALSE(methods.contains(MethodKey{"", "BENCHMARK_CAPTURE"}));
+  std::set<std::string> mains;
+  for (const auto& [key, method] : methods) {
+    if (key.second.starts_with("main")) mains.insert(key.second);
+  }
+  EXPECT_EQ(mains, (std::set<std::string>{"main@bench/two.cpp",
+                                          "main@tools/one/main.cpp"}));
+  const auto callees = [&](const MethodKey& from) {
+    std::set<std::string> out;
+    const auto it = analyzer.callgraph().edges().find(from);
+    if (it == analyzer.callgraph().edges().end()) return out;
+    for (const rds::analyze::CallEdge& e : it->second) {
+      out.insert(e.to.second);
+    }
+    return out;
+  };
+  EXPECT_EQ(callees(MethodKey{"", "main@tools/one/main.cpp"}),
+            std::set<std::string>{"helper_a"});
+  EXPECT_EQ(callees(MethodKey{"", "main@bench/two.cpp"}),
+            std::set<std::string>{"helper_b"});
+}
+
 TEST(RdsAnalyze, CallGraphBuildsFactoryEdges) {
   Analyzer analyzer;
   ASSERT_TRUE(analyzer.add_file(fixture_path("factory_resolution_bad.cpp")));

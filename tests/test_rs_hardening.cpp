@@ -20,7 +20,8 @@ namespace {
 ClusterConfig cluster_from(const std::vector<std::uint64_t>& caps) {
   std::vector<Device> devices;
   for (std::size_t i = 0; i < caps.size(); ++i) {
-    devices.push_back({i, caps[i], "d" + std::to_string(i)});
+    const std::string id = std::to_string(i);
+    devices.push_back({i, caps[i], "d" + id});
   }
   return ClusterConfig(std::move(devices));
 }

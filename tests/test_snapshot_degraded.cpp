@@ -33,6 +33,11 @@ Bytes payload(std::uint64_t block, std::uint64_t salt) {
   return b;
 }
 
+std::string volume_name(std::size_t i) {
+  const std::string id = std::to_string(i);
+  return "v" + id;
+}
+
 std::vector<std::shared_ptr<RedundancyScheme>> every_scheme_kind() {
   return {std::make_shared<MirroringScheme>(2),
           std::make_shared<ReedSolomonScheme>(3, 2),
@@ -93,11 +98,11 @@ TEST(SnapshotDegraded, DegradedPoolRoundTripsEveryVolume) {
   StoragePool pool(wide_config());
   const auto schemes = every_scheme_kind();
   for (std::size_t i = 0; i < schemes.size(); ++i) {
-    pool.create_volume("v" + std::to_string(i), schemes[i]);
+    pool.create_volume(volume_name(i), schemes[i]);
   }
   for (std::uint64_t b = 0; b < 25; ++b) {
     for (std::size_t i = 0; i < schemes.size(); ++i) {
-      pool.volume("v" + std::to_string(i)).write(b, payload(b, 10 + i));
+      pool.volume(volume_name(i)).write(b, payload(b, 10 + i));
     }
   }
   pool.fail_device(4);
@@ -109,7 +114,7 @@ TEST(SnapshotDegraded, DegradedPoolRoundTripsEveryVolume) {
   EXPECT_EQ(restored.volume_count(), schemes.size());
   for (std::size_t i = 0; i < schemes.size(); ++i) {
     SCOPED_TRACE(schemes[i]->name());
-    VirtualDisk& vol = restored.volume("v" + std::to_string(i));
+    VirtualDisk& vol = restored.volume(volume_name(i));
     EXPECT_EQ(vol.scheme().name(), schemes[i]->name());
     EXPECT_FALSE(vol.scrub().clean());
     for (std::uint64_t b = 0; b < 25; ++b) {
@@ -119,8 +124,7 @@ TEST(SnapshotDegraded, DegradedPoolRoundTripsEveryVolume) {
   // The failure flag is on the SHARED store: one rebuild heals all volumes.
   EXPECT_GT(restored.rebuild(), 0u);
   for (std::size_t i = 0; i < schemes.size(); ++i) {
-    EXPECT_TRUE(
-        restored.volume("v" + std::to_string(i)).scrub().clean());
+    EXPECT_TRUE(restored.volume(volume_name(i)).scrub().clean());
   }
 }
 

@@ -73,8 +73,9 @@ TEST(StrategyFactory, UnknownKindErrorEnumeratesValidNames) {
   // Operators hit this through rds_cli --strategy; the message must list
   // every kind so a typo is self-diagnosing.
   try {
-    make_replication_strategy(static_cast<PlacementKind>(99), make_cluster(),
-                              2);
+    EXPECT_EQ(make_replication_strategy(static_cast<PlacementKind>(99),
+                                        make_cluster(), 2),
+              nullptr);
     FAIL() << "expected std::logic_error";
   } catch (const std::logic_error& e) {
     const std::string message = e.what();

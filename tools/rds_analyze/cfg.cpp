@@ -140,6 +140,12 @@ bool is_gtest_body_macro(std::string_view name) {
          name == "TYPED_TEST";
 }
 
+/// google-benchmark's registration macros (`BENCHMARK_TEMPLATE(bm, T)
+/// ->Args({1, 2});`) are statements at namespace scope, not functions.
+bool is_benchmark_macro(std::string_view name) {
+  return name.starts_with("BENCHMARK");
+}
+
 FnSig fn_signature(const std::vector<const Tok*>& decl) {
   FnSig sig;
   for (std::size_t i = 0; i < decl.size(); ++i) {
@@ -505,10 +511,20 @@ FileModel build_file_model(std::string path, std::string_view text) {
         case DeclKind::kFunction: {
           const std::size_t close = match(toks, i, "{", "}");
           const FnSig sig = fn_signature(decl);
+          if (is_benchmark_macro(sig.name)) {
+            // The braces are an argument; keep collecting the statement.
+            i = std::min(close + 1, toks.size());
+            continue;
+          }
           Function fn;
           fn.cls = sig.cls.empty() ? enclosing_class() : sig.cls;
           if (has_ident(decl, "friend")) fn.cls.clear();
           fn.name = sig.name;
+          // Every program has a `main`: name each after its file so two
+          // programs' bodies stay two call-graph nodes.
+          if (fn.name == "main" && fn.cls.empty()) {
+            fn.name = "main@" + fm.path;
+          }
           fn.line = decl.empty() ? t.line : decl.front()->line;
           // A lambda initializing a namespace- or class-scope variable
           // (`const auto kFn = [](int v) noexcept { ... };`) is a function
@@ -531,7 +547,9 @@ FileModel build_file_model(std::string path, std::string_view text) {
           fn.body = extract_body(toks, i + 1, close, fn, fm.functions);
           if (!fn.name.empty()) {
             if (!fn.is_lambda) {
-              fm.decls.push_back(make_declaration(decl, enclosing_class()));
+              Declaration d = make_declaration(decl, enclosing_class());
+              d.name = fn.name;
+              fm.decls.push_back(std::move(d));
             }
             fm.functions.push_back(std::move(fn));
           }
@@ -573,7 +591,8 @@ FileModel build_file_model(std::string path, std::string_view text) {
                       [](const Tok* d) { return d->text == "("; })) {
         Declaration d = make_declaration(decl, in_class ? scopes.back().name
                                                         : std::string{});
-        if (!d.name.empty() && d.name != "static_assert") {
+        if (!d.name.empty() && d.name != "static_assert" &&
+            !is_benchmark_macro(d.name)) {
           fm.decls.push_back(std::move(d));
         }
       }
