@@ -9,8 +9,6 @@
 #include <iostream>
 
 #include "bench/bench_common.hpp"
-#include "src/storage/erasure/evenodd.hpp"
-#include "src/storage/erasure/rdp.hpp"
 #include "src/storage/virtual_disk.hpp"
 #include "src/util/random.hpp"
 
@@ -75,8 +73,6 @@ int main() {
   run(std::make_shared<MirroringScheme>(3), "mirror(k=3)");
   run(std::make_shared<ReedSolomonScheme>(4, 2), "RS(4+2)");
   run(std::make_shared<ReedSolomonScheme>(6, 2), "RS(6+2)");
-  run(std::make_shared<EvenOddScheme>(5), "EVENODD(p=5)");
-  run(std::make_shared<RdpScheme>(7), "RDP(p=7)");
 
   std::cout << "\nexpected: all blocks readable degraded and after rebuild;"
             << " RS overhead 1.5x/1.33x vs 3x for mirroring\n";

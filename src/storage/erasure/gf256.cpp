@@ -1,14 +1,19 @@
 #include "src/storage/erasure/gf256.hpp"
 
-#include <array>
 #include <cassert>
 
 namespace rds::gf256 {
 namespace {
 
+// Built-in arrays, not std::array: the constant evaluation of the 65,536
+// product entries must stay well inside the compilers' constexpr step
+// limits (Clang's default is 2^20), and every std::array::operator[] call
+// counts several steps there.
 struct Tables {
-  std::array<std::uint8_t, 256> log{};
-  std::array<std::uint8_t, 512> exp{};  // doubled to skip a mod in mul
+  std::uint8_t log[256]{};
+  std::uint8_t exp[512]{};  // doubled to skip a mod
+  // product[a][b] = a * b; row a is the lookup table of "multiply by a".
+  std::uint8_t product[256][256]{};
 
   constexpr Tables() {
     // Generator 2 of GF(2^8)/0x11d.
@@ -20,7 +25,11 @@ struct Tables {
       if (x & 0x100) x ^= 0x11d;
     }
     for (unsigned i = 255; i < 512; ++i) exp[i] = exp[i - 255];
-    log[0] = 0;  // undefined; callers must not rely on it
+    for (unsigned a = 1; a < 256; ++a) {
+      for (unsigned b = 1; b < 256; ++b) {
+        product[a][b] = exp[static_cast<unsigned>(log[a]) + log[b]];
+      }
+    }
   }
 };
 
@@ -29,27 +38,13 @@ constexpr Tables kT{};
 }  // namespace
 
 std::uint8_t mul(std::uint8_t a, std::uint8_t b) noexcept {
-  if (a == 0 || b == 0) return 0;
-  return kT.exp[static_cast<unsigned>(kT.log[a]) + kT.log[b]];
-}
-
-std::uint8_t div(std::uint8_t a, std::uint8_t b) noexcept {
-  assert(b != 0 && "gf256::div by zero");
-  if (a == 0 || b == 0) return 0;
-  return kT.exp[static_cast<unsigned>(kT.log[a]) + 255 - kT.log[b]];
+  return kT.product[a][b];
 }
 
 std::uint8_t inv(std::uint8_t a) noexcept {
   assert(a != 0 && "gf256::inv of zero");
   if (a == 0) return 0;
   return kT.exp[255 - kT.log[a]];
-}
-
-std::uint8_t pow(std::uint8_t a, unsigned e) noexcept {
-  if (e == 0) return 1;
-  if (a == 0) return 0;
-  const unsigned l = (static_cast<unsigned>(kT.log[a]) * e) % 255;
-  return kT.exp[l];
 }
 
 void mul_add(std::span<std::uint8_t> dst, std::span<const std::uint8_t> src,
@@ -60,16 +55,13 @@ void mul_add(std::span<std::uint8_t> dst, std::span<const std::uint8_t> src,
     for (std::size_t i = 0; i < dst.size(); ++i) dst[i] ^= src[i];
     return;
   }
-  const unsigned lc = kT.log[c];
-  for (std::size_t i = 0; i < dst.size(); ++i) {
-    const std::uint8_t s = src[i];
-    if (s != 0) dst[i] ^= kT.exp[lc + kT.log[s]];
-  }
+  const std::uint8_t* row = kT.product[c];
+  for (std::size_t i = 0; i < dst.size(); ++i) dst[i] ^= row[src[i]];
 }
 
 void scale(std::span<std::uint8_t> dst, std::uint8_t c) noexcept {
-  if (c == 1) return;
-  for (std::uint8_t& v : dst) v = mul(v, c);
+  const std::uint8_t* row = kT.product[c];
+  for (std::uint8_t& v : dst) v = row[v];
 }
 
 }  // namespace rds::gf256

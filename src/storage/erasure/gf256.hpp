@@ -1,5 +1,7 @@
-// Arithmetic in GF(2^8) with the AES-adjacent polynomial x^8+x^4+x^3+x^2+1
-// (0x11d), via log/exp tables.  Substrate for the Reed-Solomon codec.
+// Arithmetic in GF(2^8) with the polynomial x^8+x^4+x^3+x^2+1 (0x11d).
+// Products come from a 256x256 table built at compile time from the
+// log/exp tables: the row operations read one table entry per byte.
+// Substrate for the Reed-Solomon codec.
 #pragma once
 
 #include <cstdint>
@@ -16,15 +18,8 @@ namespace rds::gf256 {
 /// Product in GF(2^8).
 [[nodiscard]] std::uint8_t mul(std::uint8_t a, std::uint8_t b) noexcept;
 
-/// Quotient a / b.  Precondition: b != 0 (asserted in debug builds;
-/// returns 0 in release as a defined fallback).
-[[nodiscard]] std::uint8_t div(std::uint8_t a, std::uint8_t b) noexcept;
-
 /// Multiplicative inverse.  Precondition: a != 0.
 [[nodiscard]] std::uint8_t inv(std::uint8_t a) noexcept;
-
-/// a^e with a in the field and e a non-negative integer exponent.
-[[nodiscard]] std::uint8_t pow(std::uint8_t a, unsigned e) noexcept;
 
 /// dst[i] ^= c * src[i] for all i -- the row operation of both the encoder
 /// and the Gaussian elimination.  Spans must have equal length.

@@ -1,11 +1,27 @@
-#include "src/storage/erasure/reed_solomon.hpp"
-
+// ReedSolomonScheme (declared in src/storage/redundancy_scheme.hpp).
+#include <algorithm>
 #include <stdexcept>
 
 #include "src/storage/erasure/gf256.hpp"
+#include "src/storage/redundancy_scheme.hpp"
 
 namespace rds {
 namespace {
+
+/// Row `r` of the (d+p) x d encoding matrix (identity on top, Cauchy
+/// below): fragment r = sum_c row[c] * data[c].
+std::vector<std::uint8_t> matrix_row(unsigned d, unsigned r) {
+  std::vector<std::uint8_t> row(d, 0);
+  if (r < d) {
+    row[r] = 1;  // systematic: data fragments pass through
+  } else {
+    // Cauchy row: 1 / (x_r ^ y_c) with x = {d..d+p-1}, y = {0..d-1}.
+    for (unsigned c = 0; c < d; ++c) {
+      row[c] = gf256::inv(static_cast<std::uint8_t>(r ^ c));
+    }
+  }
+  return row;
+}
 
 /// Invert a square matrix over GF(2^8) by Gauss-Jordan elimination.
 /// `m` is row-major n x n.  Throws std::logic_error if singular (cannot
@@ -42,9 +58,68 @@ std::vector<std::uint8_t> invert_matrix(std::vector<std::uint8_t> m,
   return inv;
 }
 
+/// The one solve step behind decode and reconstruct_fragment.  It takes
+/// the first d present fragments and, when a fragment is first asked for,
+/// inverts their encoding rows M.  Any fragment t is then the d-term
+/// combination (row(t) * M^-1) of those present fragments.
+class Solver {
+ public:
+  Solver(unsigned d, unsigned p, std::span<const std::optional<Bytes>> frags)
+      : d_(d), frags_(frags) {
+    if (frags.size() != d + p) {
+      throw std::invalid_argument("ReedSolomon: wrong shard vector size");
+    }
+    for (unsigned i = 0; i < d + p && present_.size() < d; ++i) {
+      if (!frags[i].has_value()) continue;
+      if (present_.empty()) {
+        shard_size_ = frags[i]->size();
+      } else if (frags[i]->size() != shard_size_) {
+        throw std::invalid_argument("ReedSolomon: shard size mismatch");
+      }
+      present_.push_back(i);
+    }
+    if (present_.size() < d) {
+      throw std::invalid_argument("ReedSolomon: fewer than d shards present");
+    }
+  }
+
+  [[nodiscard]] std::size_t shard_size() const noexcept { return shard_size_; }
+
+  /// Fragment `target`, shard_size() bytes.
+  [[nodiscard]] Bytes compute(unsigned target) {
+    if (inverse_.empty()) {
+      std::vector<std::uint8_t> m(static_cast<std::size_t>(d_) * d_);
+      for (unsigned r = 0; r < d_; ++r) {
+        const std::vector<std::uint8_t> row = matrix_row(d_, present_[r]);
+        std::copy(row.begin(), row.end(), m.begin() + r * d_);
+      }
+      inverse_ = invert_matrix(std::move(m), d_);
+    }
+    const std::vector<std::uint8_t> row = matrix_row(d_, target);
+    Bytes out(shard_size_, 0);
+    for (unsigned j = 0; j < d_; ++j) {
+      std::uint8_t coef = 0;
+      for (unsigned c = 0; c < d_; ++c) {
+        coef ^= gf256::mul(row[c],
+                           inverse_[static_cast<std::size_t>(c) * d_ + j]);
+      }
+      gf256::mul_add(out, *frags_[present_[j]], coef);
+    }
+    return out;
+  }
+
+ private:
+  unsigned d_;
+  std::span<const std::optional<Bytes>> frags_;
+  std::vector<unsigned> present_;
+  std::size_t shard_size_ = 0;
+  std::vector<std::uint8_t> inverse_;  // d x d; empty until first compute
+};
+
 }  // namespace
 
-ReedSolomon::ReedSolomon(unsigned data_shards, unsigned parity_shards)
+ReedSolomonScheme::ReedSolomonScheme(unsigned data_shards,
+                                     unsigned parity_shards)
     : d_(data_shards), p_(parity_shards) {
   if (d_ == 0) throw std::invalid_argument("ReedSolomon: zero data shards");
   if (d_ + p_ > 256) {
@@ -52,24 +127,10 @@ ReedSolomon::ReedSolomon(unsigned data_shards, unsigned parity_shards)
   }
 }
 
-std::vector<std::uint8_t> ReedSolomon::matrix_row(unsigned r) const {
-  std::vector<std::uint8_t> row(d_, 0);
-  if (r < d_) {
-    row[r] = 1;  // systematic: data shards pass through
-  } else {
-    // Cauchy row: 1 / (x_r ^ y_c) with x = {d..d+p-1}, y = {0..d-1}.
-    for (unsigned c = 0; c < d_; ++c) {
-      row[c] = gf256::inv(static_cast<std::uint8_t>(r ^ c));
-    }
-  }
-  return row;
-}
-
-std::vector<std::vector<std::uint8_t>> ReedSolomon::encode(
+std::vector<Bytes> ReedSolomonScheme::encode(
     std::span<const std::uint8_t> block) const {
   const std::size_t shard_size = (block.size() + d_ - 1) / d_;
-  std::vector<std::vector<std::uint8_t>> shards(
-      total_shards(), std::vector<std::uint8_t>(shard_size, 0));
+  std::vector<Bytes> shards(fragment_count(), Bytes(shard_size, 0));
 
   for (unsigned c = 0; c < d_; ++c) {
     const std::size_t begin = static_cast<std::size_t>(c) * shard_size;
@@ -80,8 +141,8 @@ std::vector<std::vector<std::uint8_t>> ReedSolomon::encode(
                 shards[c].begin());
     }
   }
-  for (unsigned r = d_; r < total_shards(); ++r) {
-    const std::vector<std::uint8_t> row = matrix_row(r);
+  for (unsigned r = d_; r < fragment_count(); ++r) {
+    const std::vector<std::uint8_t> row = matrix_row(d_, r);
     for (unsigned c = 0; c < d_; ++c) {
       gf256::mul_add(shards[r], shards[c], row[c]);
     }
@@ -89,77 +150,37 @@ std::vector<std::vector<std::uint8_t>> ReedSolomon::encode(
   return shards;
 }
 
-std::vector<std::vector<std::uint8_t>> ReedSolomon::recover_data(
-    std::span<const std::optional<std::vector<std::uint8_t>>> shards) const {
-  if (shards.size() != total_shards()) {
-    throw std::invalid_argument("ReedSolomon: wrong shard vector size");
-  }
-  std::vector<unsigned> present;
-  std::size_t shard_size = 0;
-  for (unsigned i = 0; i < total_shards() && present.size() < d_; ++i) {
-    if (!shards[i].has_value()) continue;
-    if (present.empty()) {
-      shard_size = shards[i]->size();
-    } else if (shards[i]->size() != shard_size) {
-      throw std::invalid_argument("ReedSolomon: shard size mismatch");
-    }
-    present.push_back(i);
-  }
-  if (present.size() < d_) {
-    throw std::invalid_argument("ReedSolomon: fewer than d shards present");
-  }
-
-  // Solve  M * data = present_shards  with M the d chosen encoding rows.
-  std::vector<std::uint8_t> m(static_cast<std::size_t>(d_) * d_, 0);
-  for (unsigned r = 0; r < d_; ++r) {
-    const std::vector<std::uint8_t> row = matrix_row(present[r]);
-    std::copy(row.begin(), row.end(), m.begin() + r * d_);
-  }
-  const std::vector<std::uint8_t> minv = invert_matrix(std::move(m), d_);
-
-  std::vector<std::vector<std::uint8_t>> data(
-      d_, std::vector<std::uint8_t>(shard_size, 0));
-  for (unsigned c = 0; c < d_; ++c) {
-    for (unsigned j = 0; j < d_; ++j) {
-      gf256::mul_add(data[c], *shards[present[j]],
-                     minv[static_cast<std::size_t>(c) * d_ + j]);
-    }
-  }
-  return data;
-}
-
-std::vector<std::uint8_t> ReedSolomon::decode(
-    std::span<const std::optional<std::vector<std::uint8_t>>> shards,
-    std::size_t block_size) const {
-  const std::vector<std::vector<std::uint8_t>> data = recover_data(shards);
-  const std::size_t shard_size = data.front().size();
+Bytes ReedSolomonScheme::decode(std::span<const std::optional<Bytes>> fragments,
+                                std::size_t block_size) const {
+  Solver solver(d_, p_, fragments);
+  const std::size_t shard_size = solver.shard_size();
   if (block_size > shard_size * d_) {
     throw std::invalid_argument("ReedSolomon: block size exceeds capacity");
   }
-  std::vector<std::uint8_t> block;
+  // Data fragment c holds bytes [c * shard_size, (c+1) * shard_size) of the
+  // block; a healthy read only copies them.
+  Bytes block;
   block.reserve(block_size);
-  for (unsigned c = 0; c < d_ && block.size() < block_size; ++c) {
+  for (unsigned c = 0; block.size() < block_size; ++c) {
     const std::size_t take = std::min(shard_size, block_size - block.size());
-    block.insert(block.end(), data[c].begin(),
-                 data[c].begin() + static_cast<std::ptrdiff_t>(take));
+    const Bytes solved = fragments[c] ? Bytes{} : solver.compute(c);
+    const Bytes& stripe = fragments[c] ? *fragments[c] : solved;
+    block.insert(block.end(), stripe.begin(),
+                 stripe.begin() + static_cast<std::ptrdiff_t>(take));
   }
   return block;
 }
 
-std::vector<std::uint8_t> ReedSolomon::reconstruct_shard(
-    std::span<const std::optional<std::vector<std::uint8_t>>> shards,
-    unsigned target) const {
-  if (target >= total_shards()) {
+Bytes ReedSolomonScheme::reconstruct_fragment(
+    std::span<const std::optional<Bytes>> fragments, unsigned target) const {
+  if (target >= fragment_count()) {
     throw std::invalid_argument("ReedSolomon: bad target shard");
   }
-  const std::vector<std::vector<std::uint8_t>> data = recover_data(shards);
-  if (target < d_) return data[target];
-  std::vector<std::uint8_t> shard(data.front().size(), 0);
-  const std::vector<std::uint8_t> row = matrix_row(target);
-  for (unsigned c = 0; c < d_; ++c) {
-    gf256::mul_add(shard, data[c], row[c]);
-  }
-  return shard;
+  return Solver(d_, p_, fragments).compute(target);
+}
+
+std::string ReedSolomonScheme::name() const {
+  return "reed-solomon(" + std::to_string(d_) + "+" + std::to_string(p_) + ")";
 }
 
 }  // namespace rds

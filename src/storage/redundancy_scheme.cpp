@@ -45,28 +45,4 @@ std::string MirroringScheme::name() const {
   return "mirror(k=" + std::to_string(k_) + ")";
 }
 
-ReedSolomonScheme::ReedSolomonScheme(unsigned data_shards,
-                                     unsigned parity_shards)
-    : rs_(data_shards, parity_shards) {}
-
-std::vector<Bytes> ReedSolomonScheme::encode(
-    std::span<const std::uint8_t> block) const {
-  return rs_.encode(block);
-}
-
-Bytes ReedSolomonScheme::decode(std::span<const std::optional<Bytes>> fragments,
-                                std::size_t block_size) const {
-  return rs_.decode(fragments, block_size);
-}
-
-Bytes ReedSolomonScheme::reconstruct_fragment(
-    std::span<const std::optional<Bytes>> fragments, unsigned target) const {
-  return rs_.reconstruct_shard(fragments, target);
-}
-
-std::string ReedSolomonScheme::name() const {
-  return "reed-solomon(" + std::to_string(rs_.data_shards()) + "+" +
-         std::to_string(rs_.parity_shards()) + ")";
-}
-
 }  // namespace rds

@@ -14,8 +14,6 @@
 #include <string>
 #include <vector>
 
-#include "src/storage/erasure/reed_solomon.hpp"
-
 namespace rds {
 
 using Bytes = std::vector<std::uint8_t>;
@@ -70,28 +68,33 @@ class MirroringScheme final : public RedundancyScheme {
   unsigned k_;
 };
 
-/// Reed-Solomon d+p: k = d+p fragments, any d reconstruct.
+/// Systematic Reed-Solomon d+p over GF(2^8) with a Cauchy encoding matrix
+/// (src/storage/erasure/reed_solomon.cpp): k = d+p fragments, any d
+/// reconstruct.  Fragments 0..d-1 are the block's d stripes verbatim
+/// (zero-padded to equal length); fragments d.. are parity.  This is the
+/// erasure code the paper points at in Section 3 ("if data is distributed
+/// according to an erasure code, each sub-block has a different meaning").
 class ReedSolomonScheme final : public RedundancyScheme {
  public:
+  /// Throws std::invalid_argument unless 1 <= d and d + p <= 256.
   ReedSolomonScheme(unsigned data_shards, unsigned parity_shards);
 
-  [[nodiscard]] unsigned fragment_count() const override {
-    return rs_.total_shards();
-  }
-  [[nodiscard]] unsigned min_fragments() const override {
-    return rs_.data_shards();
-  }
+  [[nodiscard]] unsigned fragment_count() const override { return d_ + p_; }
+  [[nodiscard]] unsigned min_fragments() const override { return d_; }
   [[nodiscard]] std::vector<Bytes> encode(
       std::span<const std::uint8_t> block) const override;
+  /// Present data fragments are copied; only missing ones are solved for.
   [[nodiscard]] Bytes decode(std::span<const std::optional<Bytes>> fragments,
                              std::size_t block_size) const override;
+  /// Computes only `target`: d multiply-adds over the present fragments.
   [[nodiscard]] Bytes reconstruct_fragment(
       std::span<const std::optional<Bytes>> fragments,
       unsigned target) const override;
   [[nodiscard]] std::string name() const override;
 
  private:
-  ReedSolomon rs_;
+  unsigned d_;
+  unsigned p_;
 };
 
 }  // namespace rds

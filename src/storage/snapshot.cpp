@@ -8,8 +8,6 @@
 #include <string_view>
 
 #include "src/placement/strategy_factory.hpp"
-#include "src/storage/erasure/evenodd.hpp"
-#include "src/storage/erasure/rdp.hpp"
 
 namespace rds {
 namespace {
@@ -270,12 +268,6 @@ std::shared_ptr<RedundancyScheme> make_scheme_from_name(
     if (plus == std::string_view::npos) throw bad("expected 'D+P'");
     return std::make_shared<ReedSolomonScheme>(number(body.substr(0, plus)),
                                                number(body.substr(plus + 1)));
-  }
-  if (name.starts_with("evenodd(p=")) {
-    return std::make_shared<EvenOddScheme>(number(inner("evenodd(p=")));
-  }
-  if (name.starts_with("rdp(p=")) {
-    return std::make_shared<RdpScheme>(number(inner("rdp(p=")));
   }
   throw bad("unknown scheme kind");
 }

@@ -3,7 +3,6 @@
 // restored in place by repair().
 #include <gtest/gtest.h>
 
-#include "src/storage/erasure/evenodd.hpp"
 #include "src/storage/virtual_disk.hpp"
 #include "src/util/random.hpp"
 
@@ -137,11 +136,11 @@ TEST(Corruption, RepairRestoresFragmentsInPlace) {
   EXPECT_EQ(disk.stats().degraded_reads, degraded);
 }
 
-TEST(Corruption, RepairWithEvenOdd) {
-  VirtualDisk disk(pool(), std::make_shared<EvenOddScheme>(3));  // 5 frags
+TEST(Corruption, RepairParityAndDataFragment) {
+  VirtualDisk disk(pool(), std::make_shared<ReedSolomonScheme>(3, 2));
   for (std::uint64_t b = 0; b < 20; ++b) disk.write(b, payload(b));
-  disk.corrupt_fragment(2, 4);  // the diagonal parity column
-  disk.corrupt_fragment(2, 1);
+  disk.corrupt_fragment(2, 4);  // the last parity fragment
+  disk.corrupt_fragment(2, 1);  // a data fragment
   EXPECT_EQ(disk.repair(), 2u);
   EXPECT_TRUE(disk.scrub().clean());
   EXPECT_EQ(disk.read(2), payload(2));

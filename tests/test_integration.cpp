@@ -8,15 +8,13 @@
 #include <memory>
 #include <string>
 
-#include "src/storage/erasure/evenodd.hpp"
-#include "src/storage/erasure/rdp.hpp"
 #include "src/storage/virtual_disk.hpp"
 #include "src/util/random.hpp"
 
 namespace rds {
 namespace {
 
-enum class SchemeKind { kMirror3, kRs32, kEvenOdd3, kRdp5 };
+enum class SchemeKind { kMirror3, kRs32, kRs42 };
 
 struct IntegrationCase {
   SchemeKind scheme;
@@ -28,8 +26,7 @@ std::shared_ptr<RedundancyScheme> make_scheme(SchemeKind kind) {
   switch (kind) {
     case SchemeKind::kMirror3: return std::make_shared<MirroringScheme>(3);
     case SchemeKind::kRs32: return std::make_shared<ReedSolomonScheme>(3, 2);
-    case SchemeKind::kEvenOdd3: return std::make_shared<EvenOddScheme>(3);
-    case SchemeKind::kRdp5: return std::make_shared<RdpScheme>(5);
+    case SchemeKind::kRs42: return std::make_shared<ReedSolomonScheme>(4, 2);
   }
   throw std::logic_error("unknown scheme");
 }
@@ -38,8 +35,7 @@ std::string scheme_tag(SchemeKind kind) {
   switch (kind) {
     case SchemeKind::kMirror3: return "mirror3";
     case SchemeKind::kRs32: return "rs3p2";
-    case SchemeKind::kEvenOdd3: return "evenodd3";
-    case SchemeKind::kRdp5: return "rdp5";
+    case SchemeKind::kRs42: return "rs4p2";
   }
   return "?";
 }
@@ -130,13 +126,12 @@ INSTANTIATE_TEST_SUITE_P(
         IntegrationCase{SchemeKind::kRs32, PlacementKind::kRedundantShare, 3},
         IntegrationCase{SchemeKind::kRs32, PlacementKind::kFastRedundantShare,
                         4},
-        IntegrationCase{SchemeKind::kEvenOdd3,
-                        PlacementKind::kRedundantShare, 5},
+        IntegrationCase{SchemeKind::kRs42, PlacementKind::kRedundantShare, 5},
         IntegrationCase{SchemeKind::kMirror3, PlacementKind::kTrivial, 6},
         IntegrationCase{SchemeKind::kRs32, PlacementKind::kRedundantShare,
                         7},
-        IntegrationCase{SchemeKind::kRdp5, PlacementKind::kRedundantShare, 8},
-        IntegrationCase{SchemeKind::kRdp5, PlacementKind::kFastRedundantShare,
+        IntegrationCase{SchemeKind::kRs42, PlacementKind::kRedundantShare, 8},
+        IntegrationCase{SchemeKind::kRs42, PlacementKind::kFastRedundantShare,
                         9}),
     [](const ::testing::TestParamInfo<IntegrationCase>& info) {
       const char* placement = "";

@@ -390,6 +390,88 @@ TEST(Recovery, RemovedPrecomputedKindIsCorruption) {
       << from_journal.error().message;
 }
 
+/// `bytes` with the length-prefixed (u32 little-endian) scheme name `from`
+/// respelled as `to`.
+std::string respell_scheme(std::string bytes, const std::string& from,
+                           const std::string& to) {
+  const std::size_t at = bytes.find(from);
+  EXPECT_NE(at, std::string::npos);
+  EXPECT_GE(at, 4u);
+  if (at == std::string::npos || at < 4) return bytes;
+  for (std::size_t i = 0; i < 4; ++i) {
+    bytes[at - 4 + i] = static_cast<char>((to.size() >> (8 * i)) & 0xFF);
+  }
+  return bytes.replace(at, from.size(), to);
+}
+
+TEST(Recovery, RemovedXorSchemesAreCorruption) {
+  // EVENODD and RDP are no longer built.  A snapshot naming one loads as
+  // runtime_error; a checkpoint or a create-volume / set-scheme record
+  // naming one recovers to kCorruption.
+  VirtualDisk disk(base_config(), std::make_shared<MirroringScheme>(2));
+  StoragePool pool(base_config());
+  pool.create_volume("a", std::make_shared<MirroringScheme>(2));
+  for (const std::string removed : {"evenodd(p=5)", "rdp(p=7)"}) {
+    SCOPED_TRACE(removed);
+    const auto expect_unknown = [](const std::string& message) {
+      EXPECT_NE(message.find("unknown scheme kind"), std::string::npos)
+          << message;
+    };
+
+    std::stringstream disk_out;
+    Snapshot::save_disk(disk, disk_out);
+    std::stringstream disk_in(
+        respell_scheme(disk_out.str(), "mirror(k=2)", removed));
+    try {
+      (void)Snapshot::load_disk(disk_in);
+      ADD_FAILURE() << "disk snapshot loaded";
+    } catch (const std::runtime_error& e) {
+      expect_unknown(e.what());
+    }
+    std::stringstream pool_out;
+    Snapshot::save_pool(pool, pool_out);
+    std::stringstream pool_in(
+        respell_scheme(pool_out.str(), "mirror(k=2)", removed));
+    try {
+      (void)Snapshot::load_pool(pool_in);
+      ADD_FAILURE() << "pool snapshot loaded";
+    } catch (const std::runtime_error& e) {
+      expect_unknown(e.what());
+    }
+
+    std::stringstream disk_ckpt;
+    write_checkpoint(disk, 0, disk_ckpt);
+    std::stringstream disk_damaged(
+        respell_scheme(disk_ckpt.str(), "mirror(k=2)", removed));
+    const auto from_disk = Recovery::recover_disk(disk_damaged, nullptr);
+    ASSERT_FALSE(from_disk.ok());
+    EXPECT_EQ(from_disk.error().code, ErrorCode::kCorruption);
+    expect_unknown(from_disk.error().message);
+    std::stringstream pool_ckpt;
+    write_checkpoint(pool, 0, pool_ckpt);
+    std::stringstream pool_damaged(
+        respell_scheme(pool_ckpt.str(), "mirror(k=2)", removed));
+    const auto from_pool = Recovery::recover_pool(pool_damaged, nullptr);
+    ASSERT_FALSE(from_pool.ok());
+    EXPECT_EQ(from_pool.error().code, ErrorCode::kCorruption);
+    expect_unknown(from_pool.error().message);
+
+    for (const Record& rec :
+         {make_create_volume("v", removed, PlacementKind::kRedundantShare),
+          make_set_scheme("a", removed)}) {
+      std::stringstream ckpt;
+      write_checkpoint(pool, 0, ckpt);
+      std::stringstream wal;
+      JournalWriter writer(wal);
+      ASSERT_TRUE(writer.append(rec).ok());
+      const auto from_journal = Recovery::recover_pool(ckpt, &wal);
+      ASSERT_FALSE(from_journal.ok());
+      EXPECT_EQ(from_journal.error().code, ErrorCode::kCorruption);
+      expect_unknown(from_journal.error().message);
+    }
+  }
+}
+
 TEST(Recovery, DamagedSchemeNameInCheckpointIsCorruption) {
   VirtualDisk disk(base_config(), std::make_shared<MirroringScheme>(2));
   std::stringstream full;

@@ -1,16 +1,17 @@
-#include "src/storage/erasure/reed_solomon.hpp"
-
+// The Reed-Solomon codec through ReedSolomonScheme: round trips, every
+// loss pattern the code tolerates, and digests that pin the encoded bytes.
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <utility>
 #include <vector>
 
+#include "src/storage/redundancy_scheme.hpp"
+#include "src/util/crc32.hpp"
 #include "src/util/random.hpp"
 
 namespace rds {
 namespace {
-
-using Bytes = std::vector<std::uint8_t>;
 
 Bytes make_block(std::size_t size, std::uint64_t seed) {
   Xoshiro256 rng(seed);
@@ -25,7 +26,7 @@ std::vector<std::optional<Bytes>> as_optionals(
 }
 
 TEST(ReedSolomon, RoundTripAllPresent) {
-  const ReedSolomon rs(4, 2);
+  const ReedSolomonScheme rs(4, 2);
   const Bytes block = make_block(4096, 1);
   const auto shards = rs.encode(block);
   ASSERT_EQ(shards.size(), 6u);
@@ -33,7 +34,7 @@ TEST(ReedSolomon, RoundTripAllPresent) {
 }
 
 TEST(ReedSolomon, SystematicDataPassThrough) {
-  const ReedSolomon rs(3, 2);
+  const ReedSolomonScheme rs(3, 2);
   Bytes block(300);
   std::iota(block.begin(), block.end(), 0);
   const auto shards = rs.encode(block);
@@ -42,23 +43,32 @@ TEST(ReedSolomon, SystematicDataPassThrough) {
 }
 
 TEST(ReedSolomon, ToleratesAnyPLosses) {
-  const ReedSolomon rs(4, 2);
-  const Bytes block = make_block(1024, 2);
-  const auto shards = rs.encode(block);
-  // Every pair of losses must be recoverable.
-  for (unsigned i = 0; i < 6; ++i) {
-    for (unsigned j = i + 1; j < 6; ++j) {
-      auto damaged = as_optionals(shards);
-      damaged[i].reset();
-      damaged[j].reset();
-      EXPECT_EQ(rs.decode(damaged, block.size()), block)
-          << "lost shards " << i << " and " << j;
+  // Losses a, b (a == b: one loss) x every target, present or not: decode
+  // returns the block and the solved fragment is the encoded one byte for
+  // byte.
+  for (const auto& [d, p] : {std::pair{4u, 2u}, std::pair{6u, 2u}}) {
+    const ReedSolomonScheme rs(d, p);
+    const Bytes block = make_block(1001, d);
+    const auto shards = rs.encode(block);
+    const unsigned n = d + p;
+    for (unsigned a = 0; a < n; ++a) {
+      for (unsigned b = a; b < n; ++b) {
+        auto damaged = as_optionals(shards);
+        damaged[a].reset();
+        damaged[b].reset();
+        EXPECT_EQ(rs.decode(damaged, block.size()), block)
+            << rs.name() << " lost shards " << a << " and " << b;
+        for (unsigned t = 0; t < n; ++t) {
+          EXPECT_EQ(rs.reconstruct_fragment(damaged, t), shards[t])
+              << rs.name() << " lost " << a << "," << b << " target " << t;
+        }
+      }
     }
   }
 }
 
 TEST(ReedSolomon, FailsBeyondP) {
-  const ReedSolomon rs(4, 2);
+  const ReedSolomonScheme rs(4, 2);
   const Bytes block = make_block(256, 3);
   auto damaged = as_optionals(rs.encode(block));
   damaged[0].reset();
@@ -68,19 +78,19 @@ TEST(ReedSolomon, FailsBeyondP) {
 }
 
 TEST(ReedSolomon, ReconstructSingleShard) {
-  const ReedSolomon rs(5, 3);
+  const ReedSolomonScheme rs(5, 3);
   const Bytes block = make_block(2000, 4);
   const auto shards = rs.encode(block);
   for (unsigned lost = 0; lost < 8; ++lost) {
     auto damaged = as_optionals(shards);
     damaged[lost].reset();
-    EXPECT_EQ(rs.reconstruct_shard(damaged, lost), shards[lost])
+    EXPECT_EQ(rs.reconstruct_fragment(damaged, lost), shards[lost])
         << "shard " << lost;
   }
 }
 
 TEST(ReedSolomon, OddBlockSizesArePadded) {
-  const ReedSolomon rs(4, 1);
+  const ReedSolomonScheme rs(4, 1);
   for (const std::size_t size : {1u, 3u, 5u, 7u, 1001u}) {
     const Bytes block = make_block(size, size);
     const auto shards = rs.encode(block);
@@ -91,7 +101,7 @@ TEST(ReedSolomon, OddBlockSizesArePadded) {
 }
 
 TEST(ReedSolomon, EmptyBlock) {
-  const ReedSolomon rs(2, 1);
+  const ReedSolomonScheme rs(2, 1);
   const Bytes block;
   const auto shards = rs.encode(block);
   EXPECT_EQ(rs.decode(as_optionals(shards), 0).size(), 0u);
@@ -99,7 +109,7 @@ TEST(ReedSolomon, EmptyBlock) {
 
 TEST(ReedSolomon, ParityOnlyConfiguration) {
   // p == 0: pure striping, still round-trips.
-  const ReedSolomon rs(4, 0);
+  const ReedSolomonScheme rs(4, 0);
   const Bytes block = make_block(128, 9);
   const auto shards = rs.encode(block);
   ASSERT_EQ(shards.size(), 4u);
@@ -108,7 +118,7 @@ TEST(ReedSolomon, ParityOnlyConfiguration) {
 
 TEST(ReedSolomon, WideConfiguration) {
   // Stress the Cauchy construction with many shards.
-  const ReedSolomon rs(20, 12);
+  const ReedSolomonScheme rs(20, 12);
   const Bytes block = make_block(4000, 10);
   auto damaged = as_optionals(rs.encode(block));
   // Lose 12 scattered shards.
@@ -118,7 +128,7 @@ TEST(ReedSolomon, WideConfiguration) {
 
 TEST(ReedSolomon, RandomizedLossPatterns) {
   Xoshiro256 rng(77);
-  const ReedSolomon rs(6, 3);
+  const ReedSolomonScheme rs(6, 3);
   const Bytes block = make_block(600, 11);
   const auto shards = rs.encode(block);
   for (int trial = 0; trial < 50; ++trial) {
@@ -135,10 +145,36 @@ TEST(ReedSolomon, RandomizedLossPatterns) {
   }
 }
 
+TEST(ReedSolomon, EncodeMatchesParentDigest) {
+  // CRC-32C over every encoded fragment in order.  Recorded with the
+  // log/exp codec that preceded the product table, so the encoded bytes of
+  // every stored fragment are pinned.
+  struct Row {
+    unsigned d, p;
+    std::size_t size;
+    std::uint32_t crc;
+  };
+  constexpr Row kRows[] = {
+      {4, 2, 1024, 0x7467F9F8},  {4, 2, 4096, 0x36FDA80D},
+      {4, 2, 1001, 0xA6CEB06E},  {6, 2, 1024, 0xA6EB7ADD},
+      {6, 2, 4096, 0xBE2C31B3},  {6, 2, 1001, 0x1B23B2D6},
+      {20, 12, 1024, 0xACE32DB5}, {20, 12, 4096, 0x111B24DC},
+      {20, 12, 1001, 0x8834057E},
+  };
+  for (const Row& row : kRows) {
+    const ReedSolomonScheme rs(row.d, row.p);
+    std::uint32_t crc = 0;
+    for (const Bytes& f : rs.encode(make_block(row.size, row.size))) {
+      crc = crc32c(f, crc);
+    }
+    EXPECT_EQ(crc, row.crc) << rs.name() << " size=" << row.size;
+  }
+}
+
 TEST(ReedSolomon, Validation) {
-  EXPECT_THROW(ReedSolomon(0, 2), std::invalid_argument);
-  EXPECT_THROW(ReedSolomon(200, 100), std::invalid_argument);
-  const ReedSolomon rs(2, 1);
+  EXPECT_THROW(ReedSolomonScheme(0, 2), std::invalid_argument);
+  EXPECT_THROW(ReedSolomonScheme(200, 100), std::invalid_argument);
+  const ReedSolomonScheme rs(2, 1);
   const std::vector<std::optional<Bytes>> wrong_count(2);
   EXPECT_THROW((void)rs.decode(wrong_count, 10), std::invalid_argument);
   std::vector<std::optional<Bytes>> mismatched(3);
@@ -148,7 +184,7 @@ TEST(ReedSolomon, Validation) {
   std::vector<std::optional<Bytes>> ok(3);
   ok[0] = Bytes(4);
   ok[1] = Bytes(4);
-  EXPECT_THROW((void)rs.reconstruct_shard(ok, 9), std::invalid_argument);
+  EXPECT_THROW((void)rs.reconstruct_fragment(ok, 9), std::invalid_argument);
 }
 
 }  // namespace

@@ -61,14 +61,21 @@ TEST(SchemeNameParsing, RejectsMalformedNumbers) {
 
 TEST(SchemeNameParsing, RejectsMissingClose) {
   expect_rejected("mirror(k=2", "missing ')'");
-  expect_rejected("rdp(p=5", "missing ')'");
+  expect_rejected("reed-solomon(4+2", "missing ')'");
 }
 
 TEST(SchemeNameParsing, RejectsTrailingGarbage) {
   expect_rejected("mirror(k=2)x", "trailing characters");
   expect_rejected("mirror(k=2))", "trailing characters");
   expect_rejected("reed-solomon(4+2) ", "trailing characters");
-  expect_rejected("evenodd(p=5)!", "trailing characters");
+  expect_rejected("reed-solomon(4+2)!", "trailing characters");
+}
+
+TEST(SchemeNameParsing, RemovedXorCodesAreUnknownKinds) {
+  // EVENODD and RDP were retired in favour of Reed-Solomon; their names
+  // are no longer accepted anywhere a scheme name is parsed.
+  expect_rejected("evenodd(p=5)", "unknown scheme kind");
+  expect_rejected("rdp(p=7)", "unknown scheme kind");
 }
 
 TEST(SchemeNameParsing, RejectsMissingPlusInReedSolomon) {
@@ -83,7 +90,7 @@ TEST(SchemeNameParsing, MessagesQuoteTheOffendingInput) {
 TEST(SchemeNameParsing, AcceptsEveryCanonicalNameItEmits) {
   for (const std::string name :
        {"mirror(k=2)", "mirror(k=3)", "reed-solomon(4+2)",
-        "reed-solomon(8+3)", "evenodd(p=5)", "rdp(p=7)"}) {
+        "reed-solomon(8+3)", "reed-solomon(20+12)"}) {
     SCOPED_TRACE(name);
     EXPECT_EQ(make_scheme_from_name(name)->name(), name);
   }

@@ -4,8 +4,6 @@
 
 #include <sstream>
 
-#include "src/storage/erasure/evenodd.hpp"
-#include "src/storage/erasure/rdp.hpp"
 #include "src/util/random.hpp"
 
 namespace rds {
@@ -30,7 +28,7 @@ Bytes payload(std::uint64_t block, std::uint64_t salt) {
 TEST(SchemeFactory, RoundTripsEveryScheme) {
   for (const auto& name :
        {std::string("mirror(k=3)"), std::string("reed-solomon(4+2)"),
-        std::string("evenodd(p=5)"), std::string("rdp(p=7)")}) {
+        std::string("reed-solomon(5+2)"), std::string("reed-solomon(6+2)")}) {
     const auto scheme = make_scheme_from_name(name);
     EXPECT_EQ(scheme->name(), name);
   }
@@ -92,7 +90,7 @@ TEST(Snapshot, ChecksumsSurviveRoundTrip) {
 TEST(Snapshot, PoolRoundTrip) {
   StoragePool pool(pool_config());
   pool.create_volume("a", std::make_shared<MirroringScheme>(2));
-  pool.create_volume("b", std::make_shared<EvenOddScheme>(3));
+  pool.create_volume("b", std::make_shared<ReedSolomonScheme>(3, 2));
   for (std::uint64_t blk = 0; blk < 120; ++blk) {
     pool.volume("a").write(blk, payload(blk, 10));
     pool.volume("b").write(blk, payload(blk, 20));

@@ -8,8 +8,6 @@
 #include <sstream>
 #include <vector>
 
-#include "src/storage/erasure/evenodd.hpp"
-#include "src/storage/erasure/rdp.hpp"
 #include "src/util/random.hpp"
 
 namespace rds {
@@ -41,8 +39,8 @@ std::string volume_name(std::size_t i) {
 std::vector<std::shared_ptr<RedundancyScheme>> every_scheme_kind() {
   return {std::make_shared<MirroringScheme>(2),
           std::make_shared<ReedSolomonScheme>(3, 2),
-          std::make_shared<EvenOddScheme>(3),
-          std::make_shared<RdpScheme>(5)};
+          std::make_shared<ReedSolomonScheme>(3, 1),
+          std::make_shared<ReedSolomonScheme>(4, 2)};
 }
 
 TEST(SnapshotDegraded, EverySchemeKindSurvivesAFailedDeviceRoundTrip) {

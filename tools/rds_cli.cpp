@@ -22,7 +22,7 @@
 //       reconstruct; 1 = mirroring).
 //
 //   rds_cli simulate --caps 500,600,700 --script ops.txt
-//                    [--scheme mirror:2|rs:4+2|evenodd:5|rdp:5]
+//                    [--scheme mirror:2|rs:4+2]
 //       Runs an operation trace (see src/sim/op_trace.hpp for the command
 //       language) against a virtual disk built on the pool.
 //
@@ -99,8 +99,6 @@
 #include "src/placement/batch_placer.hpp"
 #include "src/placement/strategy_factory.hpp"
 #include "src/sim/op_trace.hpp"
-#include "src/storage/erasure/evenodd.hpp"
-#include "src/storage/erasure/rdp.hpp"
 #include "src/sim/block_map.hpp"
 #include "src/sim/churn_sim.hpp"
 #include "src/sim/fairness_report.hpp"
@@ -145,8 +143,8 @@ std::string command_names() {
       << "  --failed a,b      device uids assumed failed, for `loss`\n"
       << "  --need N          fragments needed to reconstruct (default 1)\n"
       << "  --script FILE     operation trace for `simulate`\n"
-      << "  --scheme S        redundancy for `simulate`: mirror:K, rs:D+P,\n"
-      << "                    evenodd:P, rdp:P (default mirror:2)\n"
+      << "  --scheme S        redundancy for `simulate`/`snapshot`: mirror:K\n"
+      << "                    or rs:D+P (default mirror:2)\n"
       << "  --strategy S      placement strategy: " << placement_kind_names()
       << ";\n"
       << "                    default redundant-share\n"
@@ -323,15 +321,7 @@ std::shared_ptr<RedundancyScheme> parse_scheme(const std::string& spec) {
         parse_u32("--scheme rs data count", param.substr(0, plus)),
         parse_u32("--scheme rs parity count", param.substr(plus + 1)));
   }
-  if (kind == "evenodd") {
-    return std::make_shared<EvenOddScheme>(
-        parse_u32("--scheme evenodd parameter", param));
-  }
-  if (kind == "rdp") {
-    return std::make_shared<RdpScheme>(
-        parse_u32("--scheme rdp parameter", param));
-  }
-  usage("unknown scheme kind: " + kind);
+  usage("unknown scheme kind: '" + kind + "' (valid: mirror:K, rs:D+P)");
 }
 
 Args parse(int argc, char** argv) {
