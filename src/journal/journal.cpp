@@ -1,55 +1,12 @@
 #include "src/journal/journal.hpp"
 
-#include <algorithm>
-#include <array>
-#include <istream>
 #include <ostream>
 #include <stdexcept>
 #include <utility>
 
 #include "src/metrics/scoped_timer.hpp"
-#include "src/util/crc32.hpp"
 
 namespace rds::journal {
-namespace {
-
-std::array<std::uint8_t, 4> le32(std::uint32_t v) {
-  std::array<std::uint8_t, 4> b{};
-  for (int i = 0; i < 4; ++i) b[i] = static_cast<std::uint8_t>(v >> (8 * i));
-  return b;
-}
-
-std::array<std::uint8_t, 8> le64(std::uint64_t v) {
-  std::array<std::uint8_t, 8> b{};
-  for (int i = 0; i < 8; ++i) b[i] = static_cast<std::uint8_t>(v >> (8 * i));
-  return b;
-}
-
-void write_raw(std::ostream& out, std::span<const std::uint8_t> bytes) {
-  out.write(reinterpret_cast<const char*>(bytes.data()),
-            static_cast<std::streamsize>(bytes.size()));
-}
-
-std::uint32_t from_le32(std::span<const std::uint8_t, 4> b) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(b[i]) << (8 * i);
-  return v;
-}
-
-std::uint64_t from_le64(std::span<const std::uint8_t, 8> b) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(b[i]) << (8 * i);
-  return v;
-}
-
-/// Reads exactly `out.size()` bytes; returns how many actually arrived.
-std::size_t read_raw(std::istream& in, std::span<std::uint8_t> out) {
-  in.read(reinterpret_cast<char*>(out.data()),
-          static_cast<std::streamsize>(out.size()));
-  return static_cast<std::size_t>(in.gcount());
-}
-
-}  // namespace
 
 // ---- JournalWriter ---------------------------------------------------------
 
@@ -71,10 +28,7 @@ void JournalWriter::init_metrics() {
 }
 
 void JournalWriter::write_header_locked() {
-  out_->write(kJournalMagic, 8);
-  const auto lsn_bytes = le64(next_lsn_);
-  write_raw(*out_, lsn_bytes);
-  write_raw(*out_, le32(crc32(lsn_bytes)));
+  codec::write_header(*out_, kJournalMagic, next_lsn_);
   out_->flush();
   if (!*out_) {
     healthy_ = false;
@@ -95,9 +49,14 @@ Result<Lsn> JournalWriter::append(const Record& record) {
   Record framed = record;
   framed.lsn = next_lsn_;
   const Bytes payload = encode_record(framed);
-  write_raw(*out_, le32(static_cast<std::uint32_t>(payload.size())));
-  write_raw(*out_, le32(crc32(payload)));
-  write_raw(*out_, payload);
+  if (payload.size() > kMaxRecordBytes) {
+    span.cancel();
+    append_failures_total_->inc();
+    return Error{ErrorCode::kInvalidArgument,
+                 "JournalWriter: record of " + std::to_string(payload.size()) +
+                     " bytes exceeds kMaxRecordBytes"};
+  }
+  codec::write_frame(*out_, payload);
   out_->flush();
   if (!*out_) {
     healthy_ = false;
@@ -142,47 +101,21 @@ Result<std::optional<Record>> JournalReader::next() {
   if (done_) return std::optional<Record>{};
 
   if (!header_read_) {
-    std::array<std::uint8_t, 8> magic{};
-    if (read_raw(*in_, magic) != magic.size() ||
-        !std::equal(magic.begin(), magic.end(), kJournalMagic)) {
-      return fail("journal header: bad magic/version");
-    }
-    std::array<std::uint8_t, 8> lsn_bytes{};
-    std::array<std::uint8_t, 4> crc_bytes{};
-    if (read_raw(*in_, lsn_bytes) != lsn_bytes.size() ||
-        read_raw(*in_, crc_bytes) != crc_bytes.size()) {
-      return fail("journal header: truncated");
-    }
-    if (from_le32(crc_bytes) != crc32(lsn_bytes)) {
-      return fail("journal header: start-LSN checksum mismatch");
-    }
-    start_lsn_ = from_le64(lsn_bytes);
+    Result<std::uint64_t> start =
+        codec::read_header(*in_, kJournalMagic, "start-LSN");
+    if (!start.ok()) return fail("journal header: " + start.error().message);
+    start_lsn_ = start.value();
     expect_ = start_lsn_;
     header_read_ = true;
   }
 
   const std::string frame = "record lsn=" + std::to_string(expect_);
-  std::array<std::uint8_t, 4> len_bytes{};
-  const std::size_t got = read_raw(*in_, len_bytes);
-  if (got == 0 && in_->eof()) {
+  Bytes payload;
+  Result<bool> read = codec::read_frame(*in_, payload);
+  if (!read.ok()) return fail(frame + ": " + read.error().message);
+  if (!read.value()) {
     done_ = true;  // clean end: the previous frame was the last one
     return std::optional<Record>{};
-  }
-  if (got != len_bytes.size()) return fail(frame + ": torn length prefix");
-  const std::uint32_t length = from_le32(len_bytes);
-  if (length > kMaxRecordBytes) {
-    return fail(frame + ": implausible length " + std::to_string(length));
-  }
-  std::array<std::uint8_t, 4> crc_bytes{};
-  if (read_raw(*in_, crc_bytes) != crc_bytes.size()) {
-    return fail(frame + ": torn checksum");
-  }
-  Bytes payload(length);
-  if (read_raw(*in_, payload) != payload.size()) {
-    return fail(frame + ": torn payload");
-  }
-  if (crc32(payload) != from_le32(crc_bytes)) {
-    return fail(frame + ": payload checksum mismatch");
   }
   Result<Record> record = decode_record(payload);
   if (!record.ok()) {

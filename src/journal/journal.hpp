@@ -2,13 +2,14 @@
 //
 // Layout of a journal stream:
 //
-//     +----------+-----------+------------------+
-//     | magic 8B | start LSN | CRC-32(start LSN)|   file header
-//     +----------+-----------+------------------+
-//     | len u32 | CRC-32(payload) u32 | payload |   record frame, repeated
-//     +---------+---------------------+---------+
+//     +----------+-----------+-------------------+
+//     | magic 8B | start LSN | CRC-32C(start LSN)|   header
+//     +----------+-----------+-------------------+
+//     | len u32 | CRC-32C(payload) u32 | payload |   frame, repeated
+//     +---------+----------------------+---------+
 //
-// Everything is little-endian.  The payload is encode_record() output
+// Header and frame are the shared codec's (src/util/codec.hpp); everything
+// is little-endian.  The payload is encode_record() output
 // (src/journal/record.hpp); LSNs are strictly monotonic and contiguous, so
 // a reader can detect dropped or replayed frames.  The journal is a COMMIT
 // log: storage layers append a record *after* the in-memory mutation
@@ -30,17 +31,19 @@
 #include "src/core/result.hpp"
 #include "src/journal/record.hpp"
 #include "src/metrics/registry.hpp"
+#include "src/util/codec.hpp"
 #include "src/util/mutex.hpp"
 #include "src/util/thread_annotations.hpp"
 
 namespace rds::journal {
 
-/// Magic + version of the journal stream format.
-inline constexpr char kJournalMagic[] = "RDSWAL01";
+/// Magic + version of the journal stream format (version 1, with IEEE
+/// CRC-32, fails as "bad magic/version").
+inline constexpr char kJournalMagic[] = "RDSWAL02";
 
-/// Upper bound on one record's payload (guards the reader against parsing
-/// a corrupt length prefix into a multi-gigabyte allocation).
-inline constexpr std::uint32_t kMaxRecordBytes = 1u << 28;
+/// Upper bound on one record's payload (the codec's frame limit); append()
+/// refuses a larger record.
+inline constexpr std::uint32_t kMaxRecordBytes = codec::kMaxFrameBytes;
 
 /// Where committed mutations are appended.  Implemented by JournalWriter;
 /// storage layers hold a shared_ptr so tests can substitute a failing or
@@ -76,6 +79,7 @@ class JournalWriter final : public JournalSink {
   /// std::runtime_error if the stream rejects it.
   explicit JournalWriter(std::ostream& out, Options options = {});
 
+  /// A record over kMaxRecordBytes is kInvalidArgument; nothing is written.
   [[nodiscard]] Result<Lsn> append(const Record& record) override
       RDS_EXCLUDES(mu_);
 

@@ -2,93 +2,10 @@
 
 #include <utility>
 
+#include "src/util/codec.hpp"
 #include "src/util/hash.hpp"
 
 namespace rds::journal {
-namespace {
-
-// ---- little-endian payload primitives -------------------------------------
-
-void put_u8(Bytes& out, std::uint8_t v) { out.push_back(v); }
-
-void put_u32(Bytes& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) put_u8(out, static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-void put_u64(Bytes& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) put_u8(out, static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-void put_string(Bytes& out, const std::string& s) {
-  put_u32(out, static_cast<std::uint32_t>(s.size()));
-  out.insert(out.end(), s.begin(), s.end());
-}
-
-void put_bytes(Bytes& out, const Bytes& b) {
-  put_u64(out, b.size());
-  out.insert(out.end(), b.begin(), b.end());
-}
-
-/// Bounds-checked reader over a record payload.  Underflow latches
-/// `failed()` instead of throwing so decode_record can return a typed
-/// Result.
-class Cursor {
- public:
-  explicit Cursor(std::span<const std::uint8_t> data) : data_(data) {}
-
-  [[nodiscard]] bool failed() const noexcept { return failed_; }
-  [[nodiscard]] bool exhausted() const noexcept { return pos_ == data_.size(); }
-
-  std::uint8_t u8() {
-    if (pos_ >= data_.size()) {
-      failed_ = true;
-      return 0;
-    }
-    return data_[pos_++];
-  }
-
-  std::uint32_t u32() {
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(u8()) << (8 * i);
-    return v;
-  }
-
-  std::uint64_t u64() {
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(u8()) << (8 * i);
-    return v;
-  }
-
-  std::string string() {
-    const std::uint32_t size = u32();
-    if (failed_ || data_.size() - pos_ < size) {
-      failed_ = true;
-      return {};
-    }
-    std::string s(reinterpret_cast<const char*>(data_.data() + pos_), size);
-    pos_ += size;
-    return s;
-  }
-
-  Bytes bytes() {
-    const std::uint64_t size = u64();
-    if (failed_ || data_.size() - pos_ < size) {
-      failed_ = true;
-      return {};
-    }
-    Bytes b(data_.begin() + static_cast<std::ptrdiff_t>(pos_),
-            data_.begin() + static_cast<std::ptrdiff_t>(pos_ + size));
-    pos_ += static_cast<std::size_t>(size);
-    return b;
-  }
-
- private:
-  std::span<const std::uint8_t> data_;
-  std::size_t pos_ = 0;
-  bool failed_ = false;
-};
-
-}  // namespace
 
 std::string_view to_string(RecordType type) noexcept {
   switch (type) {
@@ -193,53 +110,49 @@ Record make_file_remove(std::string file) {
   return r;
 }
 
-Bytes encode_record(const Record& record) {
-  Bytes out;
-  put_u64(out, record.lsn);
-  put_u8(out, static_cast<std::uint8_t>(record.type));
-  switch (record.type) {
+namespace {
+
+/// The fields each record type carries, in payload order (after the LSN
+/// and the type tag).  One list serves encode_record (Io = codec::Writer)
+/// and decode_record (Io = codec::Cursor).
+template <typename Io, typename R>
+void fields(Io& io, R& r) {
+  switch (r.type) {
     case RecordType::kAddDevice:
-      put_u64(out, record.device);
-      put_u64(out, record.capacity);
-      put_string(out, record.device_name);
-      break;
+      return io(r.device, r.capacity, r.device_name);
     case RecordType::kRemoveDevice:
     case RecordType::kFailDevice:
-      put_u64(out, record.device);
-      break;
+      return io(r.device);
     case RecordType::kResizeDevice:
-      put_u64(out, record.device);
-      put_u64(out, record.capacity);
-      break;
+      return io(r.device, r.capacity);
     case RecordType::kRebuild:
-      break;
+      return;
     case RecordType::kSetStrategy:
     case RecordType::kSetScheme:
-      put_string(out, record.volume);
-      put_string(out, record.detail);
-      break;
-    case RecordType::kCreateVolume:
-      put_string(out, record.volume);
-      put_string(out, record.detail);
-      put_string(out, record.device_name);  // placement kind name
-      break;
+      return io(r.volume, r.detail);
+    case RecordType::kCreateVolume:  // device_name holds the kind name
+      return io(r.volume, r.detail, r.device_name);
     case RecordType::kDropVolume:
-      put_string(out, record.volume);
-      break;
-    case RecordType::kFilePut:
-      put_string(out, record.file);
-      put_u64(out, record.content_hash);
-      put_bytes(out, record.content);
-      break;
+      return io(r.volume);
+    case RecordType::kFilePut:  // the content runs to the frame's end
+      return io(r.file, r.content_hash, r.content);
     case RecordType::kFileRemove:
-      put_string(out, record.file);
-      break;
+      return io(r.file);
   }
-  return out;
+}
+
+}  // namespace
+
+Bytes encode_record(const Record& record) {
+  codec::Writer out;
+  out.u64(record.lsn);
+  out.u8(static_cast<std::uint8_t>(record.type));
+  fields(out, record);
+  return std::move(out).take();
 }
 
 Result<Record> decode_record(std::span<const std::uint8_t> payload) {
-  Cursor in(payload);
+  codec::Cursor in(payload);
   Record r;
   r.lsn = in.u64();
   const std::uint8_t tag = in.u8();
@@ -252,50 +165,13 @@ Result<Record> decode_record(std::span<const std::uint8_t> payload) {
                  "unknown record type tag " + std::to_string(tag)};
   }
   r.type = static_cast<RecordType>(tag);
-  switch (r.type) {
-    case RecordType::kAddDevice:
-      r.device = in.u64();
-      r.capacity = in.u64();
-      r.device_name = in.string();
-      break;
-    case RecordType::kRemoveDevice:
-    case RecordType::kFailDevice:
-      r.device = in.u64();
-      break;
-    case RecordType::kResizeDevice:
-      r.device = in.u64();
-      r.capacity = in.u64();
-      break;
-    case RecordType::kRebuild:
-      break;
-    case RecordType::kSetStrategy:
-    case RecordType::kSetScheme:
-      r.volume = in.string();
-      r.detail = in.string();
-      break;
-    case RecordType::kCreateVolume:
-      r.volume = in.string();
-      r.detail = in.string();
-      r.device_name = in.string();
-      break;
-    case RecordType::kDropVolume:
-      r.volume = in.string();
-      break;
-    case RecordType::kFilePut:
-      r.file = in.string();
-      r.content_hash = in.u64();
-      r.content = in.bytes();
-      break;
-    case RecordType::kFileRemove:
-      r.file = in.string();
-      break;
-  }
+  fields(in, r);
   if (in.failed()) {
     return Error{ErrorCode::kCorruption,
                  "record payload truncated (" + std::string(to_string(r.type)) +
                      ")"};
   }
-  if (!in.exhausted()) {
+  if (!in.done()) {
     return Error{ErrorCode::kCorruption,
                  "record payload has trailing bytes (" +
                      std::string(to_string(r.type)) + ")"};

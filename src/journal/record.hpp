@@ -6,8 +6,8 @@
 // volume create/drop) and file-store content mutations (put / remove, with
 // a content fingerprint so replay can verify the payload it re-applies).
 // Records are flat values; encode_record / decode_record define the
-// canonical little-endian payload that JournalWriter frames with a length
-// prefix and CRC-32 (src/journal/journal.hpp).
+// canonical little-endian payload that JournalWriter stores in one
+// CRC-32C frame (src/util/codec.hpp).
 #pragma once
 
 #include <cstdint>
@@ -58,7 +58,7 @@ struct Record {
   std::string detail;              ///< strategy kind or scheme name
   std::string file;                ///< file ops
   std::uint64_t content_hash = 0;  ///< hash_bytes fingerprint of `content`
-  Bytes content;                   ///< kFilePut payload
+  Bytes content;                   ///< kFilePut payload, to the frame's end
 
   friend bool operator==(const Record&, const Record&) = default;
 };

@@ -1,40 +1,19 @@
 #include "src/journal/recovery.hpp"
 
-#include <array>
 #include <istream>
 #include <optional>
 #include <ostream>
 #include <stdexcept>
-#include <string_view>
 #include <utility>
 
 #include "src/metrics/registry.hpp"
 #include "src/metrics/scoped_timer.hpp"
 #include "src/placement/strategy_factory.hpp"
-#include "src/util/crc32.hpp"
+#include "src/util/codec.hpp"
 #include "src/util/hash.hpp"
 
 namespace rds::journal {
 namespace {
-
-void put_le64(std::ostream& out, std::uint64_t v,
-              std::array<std::uint8_t, 8>& bytes) {
-  for (int i = 0; i < 8; ++i) bytes[i] = static_cast<std::uint8_t>(v >> (8 * i));
-  out.write(reinterpret_cast<const char*>(bytes.data()), 8);
-}
-
-void write_checkpoint_header(std::ostream& out, Lsn watermark) {
-  out.write(kCheckpointMagic, 8);
-  std::array<std::uint8_t, 8> bytes{};
-  put_le64(out, watermark, bytes);
-  const std::uint32_t crc = crc32(bytes);
-  std::array<std::uint8_t, 4> crc_bytes{};
-  for (int i = 0; i < 4; ++i) {
-    crc_bytes[i] = static_cast<std::uint8_t>(crc >> (8 * i));
-  }
-  out.write(reinterpret_cast<const char*>(crc_bytes.data()), 4);
-  if (!out) throw std::runtime_error("checkpoint: header write failed");
-}
 
 /// Runs a throwing mutation, mapping its exception taxonomy onto Result.
 template <typename Fn>
@@ -48,6 +27,15 @@ Result<void> guarded(Fn&& fn) {
     return Error{ErrorCode::kNotFound, e.what()};
   } catch (const std::exception& e) {
     return Error{ErrorCode::kIoError, e.what()};
+  }
+}
+
+Result<std::shared_ptr<RedundancyScheme>> parse_scheme(
+    const std::string& name) {
+  try {
+    return make_scheme_from_name(name);
+  } catch (const std::invalid_argument& e) {
+    return Error{ErrorCode::kCorruption, e.what()};
   }
 }
 
@@ -91,13 +79,9 @@ Result<void> apply(VirtualDisk& disk, const Record& rec) {
                      "volume-scoped record replayed against a standalone "
                      "disk"};
       }
-      std::shared_ptr<RedundancyScheme> scheme;
-      try {
-        scheme = make_scheme_from_name(rec.detail);
-      } catch (const std::invalid_argument& e) {
-        return Error{ErrorCode::kCorruption, e.what()};
-      }
-      return disk.try_set_scheme(std::move(scheme));
+      auto scheme = parse_scheme(rec.detail);
+      if (!scheme.ok()) return scheme.error();
+      return disk.try_set_scheme(std::move(scheme).take());
     }
     case RecordType::kCreateVolume:
     case RecordType::kDropVolume:
@@ -140,26 +124,19 @@ Result<void> apply(StoragePool& pool, const Record& rec) {
         return Error{ErrorCode::kInvalidArgument,
                      "disk-scoped record replayed against a pool"};
       }
-      std::shared_ptr<RedundancyScheme> scheme;
-      try {
-        scheme = make_scheme_from_name(rec.detail);
-      } catch (const std::invalid_argument& e) {
-        return Error{ErrorCode::kCorruption, e.what()};
-      }
-      return guarded(
-          [&] { pool.set_volume_scheme(rec.volume, std::move(scheme)); });
+      auto scheme = parse_scheme(rec.detail);
+      if (!scheme.ok()) return scheme.error();
+      return guarded([&] {
+        pool.set_volume_scheme(rec.volume, std::move(scheme).take());
+      });
     }
     case RecordType::kCreateVolume: {
       Result<PlacementKind> kind = parse_kind(rec.device_name);
       if (!kind.ok()) return kind.error();
-      std::shared_ptr<RedundancyScheme> scheme;
-      try {
-        scheme = make_scheme_from_name(rec.detail);
-      } catch (const std::invalid_argument& e) {
-        return Error{ErrorCode::kCorruption, e.what()};
-      }
+      auto scheme = parse_scheme(rec.detail);
+      if (!scheme.ok()) return scheme.error();
       return guarded([&] {
-        pool.create_volume(rec.volume, std::move(scheme), kind.value());
+        pool.create_volume(rec.volume, std::move(scheme).take(), kind.value());
       });
     }
     case RecordType::kDropVolume:
@@ -249,14 +226,14 @@ Result<ReplayReport> replay_impl(Target& target, Lsn watermark,
   return report;
 }
 
-template <typename Loader>
-auto recover_impl(std::istream& checkpoint_in, std::istream* journal_in,
-                  const RecoveryOptions& options, Loader&& load)
-    -> Result<std::pair<decltype(load(checkpoint_in)), ReplayReport>> {
-  using Target = decltype(load(checkpoint_in));
+/// Loads a checkpoint and replays the journal over it; Out is the
+/// {target, report} pair recover_* return.
+template <typename Out, typename Loader>
+Result<Out> recover_impl(std::istream& checkpoint_in, std::istream* journal_in,
+                         const RecoveryOptions& options, Loader&& load) {
   Result<Lsn> watermark = read_checkpoint_header(checkpoint_in);
   if (!watermark.ok()) return watermark.error();
-  std::optional<Target> target;
+  std::optional<decltype(load(checkpoint_in))> target;
   try {
     target.emplace(load(checkpoint_in));
   } catch (const std::exception& e) {
@@ -273,11 +250,15 @@ auto recover_impl(std::istream& checkpoint_in, std::istream* journal_in,
     report = std::move(replayed).take();
   }
   metrics::Registry::global().counter("rds_journal_recoveries_total").inc();
-  return std::pair<Target, ReplayReport>{std::move(*target),
-                                         std::move(report)};
+  return Out{std::move(*target), std::move(report)};
 }
 
-void bump_checkpoint_metric() {
+/// Header, then the snapshot `save` writes.
+template <typename Save>
+void write_checkpoint_with(std::ostream& out, Lsn watermark, Save&& save) {
+  codec::write_header(out, kCheckpointMagic, watermark);
+  if (!out) throw std::runtime_error("checkpoint: header write failed");
+  save();
   metrics::Registry::global().counter("rds_journal_checkpoints_total").inc();
 }
 
@@ -285,23 +266,20 @@ void bump_checkpoint_metric() {
 
 void write_checkpoint(const VirtualDisk& disk, Lsn watermark,
                       std::ostream& out) {
-  write_checkpoint_header(out, watermark);
-  Snapshot::save_disk(disk, out);
-  bump_checkpoint_metric();
+  write_checkpoint_with(out, watermark,
+                        [&] { Snapshot::save_disk(disk, out); });
 }
 
 void write_checkpoint(const StoragePool& pool, Lsn watermark,
                       std::ostream& out) {
-  write_checkpoint_header(out, watermark);
-  Snapshot::save_pool(pool, out);
-  bump_checkpoint_metric();
+  write_checkpoint_with(out, watermark,
+                        [&] { Snapshot::save_pool(pool, out); });
 }
 
 void write_checkpoint(const FileStore& store, Lsn watermark,
                       std::ostream& out) {
-  write_checkpoint_header(out, watermark);
-  Snapshot::save_file_store(store, out);
-  bump_checkpoint_metric();
+  write_checkpoint_with(out, watermark,
+                        [&] { Snapshot::save_file_store(store, out); });
 }
 
 Lsn checkpoint(const VirtualDisk& disk, JournalWriter& writer,
@@ -329,68 +307,37 @@ Lsn checkpoint(const FileStore& store, JournalWriter& writer,
 }
 
 Result<Lsn> read_checkpoint_header(std::istream& in) {
-  std::array<char, 8> magic{};
-  in.read(magic.data(), 8);
-  if (in.gcount() != 8 ||
-      std::string_view(magic.data(), 8) != std::string_view(kCheckpointMagic, 8)) {
-    return Error{ErrorCode::kCorruption, "checkpoint header: bad magic/version"};
-  }
-  std::array<std::uint8_t, 8> lsn_bytes{};
-  std::array<std::uint8_t, 4> crc_bytes{};
-  in.read(reinterpret_cast<char*>(lsn_bytes.data()), 8);
-  if (in.gcount() != 8) {
-    return Error{ErrorCode::kCorruption, "checkpoint header: truncated"};
-  }
-  in.read(reinterpret_cast<char*>(crc_bytes.data()), 4);
-  if (in.gcount() != 4) {
-    return Error{ErrorCode::kCorruption, "checkpoint header: truncated"};
-  }
-  std::uint32_t crc = 0;
-  for (int i = 0; i < 4; ++i) {
-    crc |= static_cast<std::uint32_t>(crc_bytes[i]) << (8 * i);
-  }
-  if (crc != crc32(lsn_bytes)) {
+  Result<std::uint64_t> watermark =
+      codec::read_header(in, kCheckpointMagic, "watermark");
+  if (!watermark.ok()) {
     return Error{ErrorCode::kCorruption,
-                 "checkpoint header: watermark checksum mismatch"};
+                 "checkpoint header: " + watermark.error().message};
   }
-  Lsn watermark = 0;
-  for (int i = 0; i < 8; ++i) {
-    watermark |= static_cast<Lsn>(lsn_bytes[i]) << (8 * i);
-  }
-  return watermark;
+  return watermark.value();
 }
 
 Result<DiskRecovery> Recovery::recover_disk(std::istream& checkpoint_in,
                                             std::istream* journal_in,
                                             const RecoveryOptions& options) {
-  auto recovered = recover_impl(
+  return recover_impl<DiskRecovery>(
       checkpoint_in, journal_in, options,
       [](std::istream& in) { return Snapshot::load_disk(in); });
-  if (!recovered.ok()) return recovered.error();
-  auto [disk, report] = std::move(recovered).take();
-  return DiskRecovery{std::move(disk), std::move(report)};
 }
 
 Result<PoolRecovery> Recovery::recover_pool(std::istream& checkpoint_in,
                                             std::istream* journal_in,
                                             const RecoveryOptions& options) {
-  auto recovered = recover_impl(
+  return recover_impl<PoolRecovery>(
       checkpoint_in, journal_in, options,
       [](std::istream& in) { return Snapshot::load_pool(in); });
-  if (!recovered.ok()) return recovered.error();
-  auto [pool, report] = std::move(recovered).take();
-  return PoolRecovery{std::move(pool), std::move(report)};
 }
 
 Result<FileStoreRecovery> Recovery::recover_file_store(
     std::istream& checkpoint_in, std::istream* journal_in,
     const RecoveryOptions& options) {
-  auto recovered = recover_impl(
+  return recover_impl<FileStoreRecovery>(
       checkpoint_in, journal_in, options,
       [](std::istream& in) { return Snapshot::load_file_store(in); });
-  if (!recovered.ok()) return recovered.error();
-  auto [store, report] = std::move(recovered).take();
-  return FileStoreRecovery{std::move(store), std::move(report)};
 }
 
 Result<ReplayReport> Recovery::replay(VirtualDisk& disk, Lsn watermark,

@@ -1,9 +1,10 @@
 // Crash recovery: checkpoint (snapshot + journal truncation) and journal
 // replay over a base snapshot (docs/persistence.md).
 //
-// A checkpoint stream is a small header -- magic "RDSCKPT1", the LSN
-// watermark (highest LSN whose effects the snapshot contains), a CRC over
-// the watermark -- followed by a regular Snapshot section.  Recovery loads
+// A checkpoint stream is the codec's header (src/util/codec.hpp) -- magic
+// "RDSCKPT2", the LSN watermark (highest LSN whose effects the snapshot
+// contains), the CRC-32C of the watermark -- followed by a regular
+// snapshot.  Recovery loads
 // the snapshot, then replays every journal record with lsn > watermark;
 // records at or below it are skipped (their effects are already in the
 // snapshot).
@@ -29,8 +30,9 @@
 
 namespace rds::journal {
 
-/// Magic + version of a checkpoint stream.
-inline constexpr char kCheckpointMagic[] = "RDSCKPT1";
+/// Magic + version of a checkpoint stream (version 1, with IEEE CRC-32,
+/// fails as "bad magic/version").
+inline constexpr char kCheckpointMagic[] = "RDSCKPT2";
 
 /// What a replay did.  `watermark` is the checkpoint's LSN; `last_applied`
 /// is the highest LSN whose record was applied (== watermark when the
@@ -49,7 +51,7 @@ struct RecoveryOptions {
   bool strict = false;
 };
 
-/// Writes a checkpoint: header (magic, watermark, CRC) + snapshot.
+/// Writes a checkpoint: header (magic, watermark, CRC-32C) + snapshot.
 /// `watermark` is the highest LSN whose effects the target already
 /// contains -- normally JournalWriter::last_lsn() at a quiesced moment.
 /// Throws std::runtime_error on stream failure or an in-flight reshape.

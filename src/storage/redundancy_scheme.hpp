@@ -14,9 +14,9 @@
 #include <string>
 #include <vector>
 
-namespace rds {
+#include "src/util/codec.hpp"
 
-using Bytes = std::vector<std::uint8_t>;
+namespace rds {
 
 class RedundancyScheme {
  public:

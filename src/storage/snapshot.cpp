@@ -8,132 +8,127 @@
 #include <string_view>
 
 #include "src/placement/strategy_factory.hpp"
+#include "src/util/codec.hpp"
 
 namespace rds {
 namespace {
 
-// Version 2: fragment checksums are CRC-32C, stored as u32.  Version 1
-// streams (64-bit FNV-1a checksums) fail with "bad magic/version".
-constexpr char kDiskMagic[] = "RDSDISK2";
-constexpr char kPoolMagic[] = "RDSPOOL2";
-constexpr char kFileStoreMagic[] = "RDSFSTO1";
+// Version 3 (snapshot.hpp); older streams fail with "bad magic/version".
+constexpr char kDiskMagic[] = "RDSDISK3";
+constexpr char kPoolMagic[] = "RDSPOOL3";
+constexpr char kFileStoreMagic[] = "RDSFSTO2";
 
-// ---- little-endian primitives ---------------------------------------------
+// Smallest encodings of a device (uid, capacity, name length) and of a
+// file (name length, size, block count), for Cursor::count.
+constexpr std::size_t kDeviceBytes = 8 + 8 + 4;
+constexpr std::size_t kFileBytes = 4 + 8 + 4;
 
-void put_u8(std::ostream& out, std::uint8_t v) {
-  out.put(static_cast<char>(v));
-}
+/// Block-table and checksum entries per frame: no buffer on save or load
+/// grows with the volume.
+constexpr std::uint64_t kTableChunk = 4096;
 
-void put_u32(std::ostream& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) put_u8(out, static_cast<std::uint8_t>(v >> (8 * i)));
-}
+using Stores = std::unordered_map<DeviceId, std::shared_ptr<DeviceStore>>;
 
-void put_u64(std::ostream& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) put_u8(out, static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-void put_string(std::ostream& out, const std::string& s) {
-  put_u32(out, static_cast<std::uint32_t>(s.size()));
-  out.write(s.data(), static_cast<std::streamsize>(s.size()));
-}
-
-void put_bytes(std::ostream& out, const Bytes& b) {
-  put_u64(out, b.size());
-  out.write(reinterpret_cast<const char*>(b.data()),
-            static_cast<std::streamsize>(b.size()));
-}
-
-std::uint8_t get_u8(std::istream& in) {
-  const int c = in.get();
-  if (c == std::char_traits<char>::eof()) {
-    throw std::runtime_error("snapshot: truncated stream");
+/// The header's value; a bad magic/version or a damaged header throws the
+/// documented runtime_error.
+std::uint64_t read_header(std::istream& in, const char* magic,
+                          const char* field) {
+  const Result<std::uint64_t> value = codec::read_header(in, magic, field);
+  if (!value.ok()) {
+    throw std::runtime_error("snapshot: " + value.error().message);
   }
-  return static_cast<std::uint8_t>(c);
+  return value.value();
 }
 
-std::uint32_t get_u32(std::istream& in) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(get_u8(in)) << (8 * i);
-  return v;
-}
-
-std::uint64_t get_u64(std::istream& in) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(get_u8(in)) << (8 * i);
-  return v;
-}
-
-std::string get_string(std::istream& in) {
-  const std::uint32_t size = get_u32(in);
-  std::string s(size, '\0');
-  in.read(s.data(), size);
-  if (in.gcount() != static_cast<std::streamsize>(size)) {
-    throw std::runtime_error("snapshot: truncated stream");
+/// A cursor over the next frame, read into `buf`; a missing or damaged
+/// frame throws the documented runtime_error.
+codec::Cursor next_frame(std::istream& in, Bytes& buf, const char* section) {
+  const Result<bool> read = codec::read_frame(in, buf);
+  if (!read.ok()) {
+    throw std::runtime_error(std::string("snapshot: ") + section +
+                             " frame: " + read.error().message);
   }
-  return s;
+  if (!read.value()) throw std::runtime_error("snapshot: truncated stream");
+  return codec::Cursor(buf);
 }
 
-Bytes get_bytes(std::istream& in) {
-  const std::uint64_t size = get_u64(in);
-  Bytes b(size);
-  in.read(reinterpret_cast<char*>(b.data()),
-          static_cast<std::streamsize>(size));
-  if (in.gcount() != static_cast<std::streamsize>(size)) {
-    throw std::runtime_error("snapshot: truncated stream");
-  }
-  return b;
-}
-
-void expect_magic(std::istream& in, const char* magic) {
-  char buf[8];
-  in.read(buf, 8);
-  if (in.gcount() != 8 || std::string(buf, 8) != std::string(magic, 8)) {
-    throw std::runtime_error("snapshot: bad magic/version");
+/// Throws unless `c` consumed its frame exactly.
+void finish(const codec::Cursor& c, const char* section) {
+  if (!c.done()) {
+    throw std::runtime_error(std::string("snapshot: malformed ") + section +
+                             " frame");
   }
 }
 
-// ---- sections --------------------------------------------------------------
+/// Writes one frame of `w`'s bytes and empties `w` for the next.
+void flush(std::ostream& out, codec::Writer& w) {
+  codec::write_frame(out, w.data());
+  w.clear();
+}
 
-void put_config(std::ostream& out, const ClusterConfig& config) {
-  put_u32(out, static_cast<std::uint32_t>(config.size()));
-  for (const Device& d : config.devices()) {
-    put_u64(out, d.uid);
-    put_u64(out, d.capacity);
-    put_string(out, d.name);
+// Field lists shared by save (Io = codec::Writer) and load (codec::Cursor).
+template <typename Io, typename Key>
+void key_fields(Io& io, Key& key) {
+  io(key.block, key.fragment, key.volume);
+}
+
+template <typename Io, typename D>
+void device_fields(Io& io, D& d) {
+  io(d.uid, d.capacity, d.name);
+}
+
+void put_config(codec::Writer& w, const ClusterConfig& config) {
+  w.u32(static_cast<std::uint32_t>(config.size()));
+  for (const Device& d : config.devices()) device_fields(w, d);
+}
+
+ClusterConfig get_config(codec::Cursor& c) {
+  std::vector<Device> devices(c.count(kDeviceBytes));
+  for (Device& d : devices) device_fields(c, d);
+  if (c.failed()) throw std::runtime_error("snapshot: malformed device list");
+  // A zero capacity or a duplicate uid is damage like any other field.
+  try {
+    return ClusterConfig(std::move(devices));
+  } catch (const std::invalid_argument& e) {
+    throw std::runtime_error(std::string("snapshot: ") + e.what());
   }
 }
 
-ClusterConfig get_config(std::istream& in) {
-  const std::uint32_t n = get_u32(in);
-  std::vector<Device> devices;
-  devices.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    Device d;
-    d.uid = get_u64(in);
-    d.capacity = get_u64(in);
-    d.name = get_string(in);
-    devices.push_back(std::move(d));
+/// Writes `table`'s entries, put(entry) each, kTableChunk to a frame.
+template <typename Table, typename Put>
+void put_table(std::ostream& out, codec::Writer& w, const Table& table,
+               Put put) {
+  std::uint64_t n = 0;
+  for (const auto& entry : table) {
+    put(entry);
+    if (++n % kTableChunk == 0 || n == table.size()) flush(out, w);
   }
-  return ClusterConfig(std::move(devices));
 }
 
-std::shared_ptr<DeviceStore> get_store(std::istream& in) {
-  Device d;
-  d.uid = get_u64(in);
-  d.capacity = get_u64(in);
-  d.name = get_string(in);
-  const bool failed = get_u8(in) != 0;
-  auto store = std::make_shared<DeviceStore>(d);
-  const std::uint64_t fragments = get_u64(in);
-  for (std::uint64_t f = 0; f < fragments; ++f) {
-    FragmentKey key;
-    key.block = get_u64(in);
-    key.fragment = get_u32(in);
-    key.volume = get_u32(in);
-    store->write(key, get_bytes(in));
+/// `n` device stores: per store a device frame, then its fragment frames.
+Stores get_stores(std::istream& in, Bytes& buf, std::uint64_t n) {
+  Stores stores;
+  for (std::uint64_t i = 0; i < n; ++i) {
+    codec::Cursor c = next_frame(in, buf, "device");
+    Device device;
+    device_fields(c, device);
+    auto store = std::make_shared<DeviceStore>(device);
+    const bool failed = c.u8() != 0;
+    const std::uint64_t fragments = c.u64();
+    finish(c, "device");
+    for (std::uint64_t f = 0; f < fragments; ++f) {
+      c = next_frame(in, buf, "fragment");
+      FragmentKey key;
+      key_fields(c, key);
+      const std::span<const std::uint8_t> payload = c.rest();
+      finish(c, "fragment");
+      store->write(key, Bytes(payload.begin(), payload.end()));
+    }
+    if (failed) store->fail();
+    const DeviceId uid = store->device().uid;
+    stores.emplace(uid, std::move(store));
   }
-  if (failed) store->fail();
-  return store;
+  return stores;
 }
 
 }  // namespace
@@ -142,49 +137,45 @@ void Snapshot::put_store(std::ostream& out, const DeviceStore& store) {
   // One shared hold for the whole section: the count and the entries come
   // from the same state even while other volumes' I/O reaches the store.
   const ReaderLock lock(store.mu_);
-  put_u64(out, store.device_.uid);
-  put_u64(out, store.device_.capacity);
-  put_string(out, store.device_.name);
-  put_u8(out, store.failed() ? 1 : 0);
   // A failed device's contents are unreadable: persist the flag only.
-  if (store.failed()) {
-    put_u64(out, 0);
-    return;
-  }
-  put_u64(out, store.data_.size());
+  const bool failed = store.failed();
+  codec::Writer w;
+  device_fields(w, store.device_);
+  w.u8(failed ? 1 : 0);
+  w.u64(failed ? 0 : store.data_.size());
+  flush(out, w);
+  if (failed) return;
+  // One frame per fragment: key, then the payload to the frame's end.
   for (const auto& [key, payload] : store.data_) {
-    put_u64(out, key.block);
-    put_u32(out, key.fragment);
-    put_u32(out, key.volume);
-    put_bytes(out, payload);
+    key_fields(w, key);
+    w.raw(payload);
+    flush(out, w);
   }
 }
 
-void Snapshot::put_volume_meta(std::ostream& out, const VirtualDisk& disk) {
+void Snapshot::put_volume_meta(std::ostream& out, codec::Writer& w,
+                               const VirtualDisk& disk) {
   const MutexLock lock(disk.mu_);
-  put_u8(out, static_cast<std::uint8_t>(disk.kind_));
-  put_u32(out, disk.volume_id_);
-  put_string(out, disk.scheme_->name());
-  put_config(out, disk.config_);
-  put_u64(out, disk.blocks_.size());
-  for (const auto& [block, size] : disk.blocks_) {
-    put_u64(out, block);
-    put_u64(out, size);
-  }
-  put_u64(out, disk.checksums_.size());
-  for (const auto& [key, sum] : disk.checksums_) {
-    put_u64(out, key.block);
-    put_u32(out, key.fragment);
-    put_u32(out, key.volume);
-    put_u32(out, sum);
-  }
+  w.u8(static_cast<std::uint8_t>(disk.kind_));
+  w.u32(disk.volume_id_);
+  w.string(disk.scheme_->name());
+  put_config(w, disk.config_);
+  w.u64(disk.blocks_.size());
+  w.u64(disk.checksums_.size());
+  flush(out, w);
+  put_table(out, w, disk.blocks_,
+            [&](const auto& e) { w(e.first, e.second); });
+  put_table(out, w, disk.checksums_, [&](const auto& e) {
+    key_fields(w, e.first);
+    w(e.second);
+  });
   // Stats are observability, not state: deliberately not persisted.
 }
 
 VirtualDisk Snapshot::get_volume_meta(
-    std::istream& in,
+    std::istream& in, codec::Cursor& c, Bytes& buf,
     std::unordered_map<DeviceId, std::shared_ptr<DeviceStore>> stores) {
-  const std::uint8_t kind_byte = get_u8(in);
+  const std::uint8_t kind_byte = c.u8();
   const std::span<const PlacementKind> kinds = all_placement_kinds();
   const auto known = std::find_if(kinds.begin(), kinds.end(), [&](auto k) {
     return static_cast<std::uint8_t>(k) == kind_byte;
@@ -194,9 +185,12 @@ VirtualDisk Snapshot::get_volume_meta(
                              std::to_string(kind_byte));
   }
   const PlacementKind kind = *known;
-  const std::uint32_t volume_id = get_u32(in);
-  const std::string scheme_name = get_string(in);
-  ClusterConfig config = get_config(in);
+  const std::uint32_t volume_id = c.u32();
+  const std::string scheme_name = c.string();
+  ClusterConfig config = get_config(c);
+  const std::uint64_t blocks = c.u64();
+  const std::uint64_t sums = c.u64();
+  finish(c, "volume");  // the tables' frames reuse `buf`
   // The scheme name and the (kind, scheme, config) triple come from the
   // stream: a name the parser rejects or a scheme that does not fit the
   // stored devices is damage, reported like every other corrupt field.
@@ -214,18 +208,22 @@ VirtualDisk Snapshot::get_volume_meta(
     // are lock-guarded members; take the lock so the access is provably
     // consistent under the thread-safety analysis.
     const MutexLock lock(disk.mu_);
-    const std::uint64_t blocks = get_u64(in);
-    for (std::uint64_t b = 0; b < blocks; ++b) {
-      const std::uint64_t block = get_u64(in);
-      disk.blocks_[block] = get_u64(in);
+    for (std::uint64_t left = blocks; left > 0;) {
+      codec::Cursor t = next_frame(in, buf, "block table");
+      for (auto i = std::min(left, kTableChunk); i > 0; --i, --left) {
+        const std::uint64_t block = t.u64();
+        t(disk.blocks_[block]);
+      }
+      finish(t, "block table");
     }
-    const std::uint64_t sums = get_u64(in);
-    for (std::uint64_t s = 0; s < sums; ++s) {
-      FragmentKey key;
-      key.block = get_u64(in);
-      key.fragment = get_u32(in);
-      key.volume = get_u32(in);
-      disk.checksums_[key] = get_u32(in);
+    for (std::uint64_t left = sums; left > 0;) {
+      codec::Cursor t = next_frame(in, buf, "checksum table");
+      for (auto i = std::min(left, kTableChunk); i > 0; --i, --left) {
+        FragmentKey key;
+        key_fields(t, key);
+        t(disk.checksums_[key]);
+      }
+      finish(t, "checksum table");
     }
   }
   return disk;
@@ -276,27 +274,23 @@ void Snapshot::save_disk(const VirtualDisk& disk, std::ostream& out) {
   if (disk.reshaping()) {
     throw std::runtime_error("Snapshot: drain the reshape before saving");
   }
-  out.write(kDiskMagic, 8);
   {
     // Scoped: put_volume_meta takes the same (non-reentrant) lock.
     const MutexLock lock(disk.mu_);
-    put_u32(out, static_cast<std::uint32_t>(disk.stores_.size()));
+    codec::write_header(out, kDiskMagic, disk.stores_.size());
     for (const auto& [uid, store] : disk.stores_) put_store(out, *store);
   }
-  put_volume_meta(out, disk);
+  codec::Writer w;
+  put_volume_meta(out, w, disk);
   if (!out) throw std::runtime_error("Snapshot: write failed");
 }
 
 VirtualDisk Snapshot::load_disk(std::istream& in) {
-  expect_magic(in, kDiskMagic);
-  const std::uint32_t n = get_u32(in);
-  std::unordered_map<DeviceId, std::shared_ptr<DeviceStore>> stores;
-  for (std::uint32_t i = 0; i < n; ++i) {
-    auto store = get_store(in);
-    const DeviceId uid = store->device().uid;
-    stores.emplace(uid, std::move(store));
-  }
-  return get_volume_meta(in, std::move(stores));
+  const std::uint64_t n = read_header(in, kDiskMagic, "store count");
+  Bytes buf;
+  Stores stores = get_stores(in, buf, n);
+  codec::Cursor c = next_frame(in, buf, "volume");
+  return get_volume_meta(in, c, buf, std::move(stores));
 }
 
 void Snapshot::save_pool(const StoragePool& pool, std::ostream& out) {
@@ -308,31 +302,29 @@ void Snapshot::save_pool(const StoragePool& pool, std::ostream& out) {
       throw std::runtime_error("Snapshot: drain reshapes before saving");
     }
   }
-  out.write(kPoolMagic, 8);
-  put_u32(out, pool.next_volume_id_);
-  put_config(out, pool.config_);
-  put_u32(out, static_cast<std::uint32_t>(pool.stores_.size()));
+  codec::write_header(out, kPoolMagic, pool.stores_.size());
+  codec::Writer w;
+  w.u32(pool.next_volume_id_);
+  put_config(w, pool.config_);
+  w.u32(static_cast<std::uint32_t>(pool.volumes_.size()));
+  flush(out, w);
   for (const auto& [uid, store] : pool.stores_) put_store(out, *store);
-  put_u32(out, static_cast<std::uint32_t>(pool.volumes_.size()));
   for (const auto& [name, disk] : pool.volumes_) {
-    put_string(out, name);
-    put_volume_meta(out, *disk);
+    w.string(name);  // opens the volume's frame
+    put_volume_meta(out, w, *disk);
   }
   if (!out) throw std::runtime_error("Snapshot: write failed");
 }
 
 StoragePool Snapshot::load_pool(std::istream& in) {
-  expect_magic(in, kPoolMagic);
-  const std::uint32_t next_volume_id = get_u32(in);
-  ClusterConfig config = get_config(in);
-
-  std::unordered_map<DeviceId, std::shared_ptr<DeviceStore>> stores;
-  const std::uint32_t n_stores = get_u32(in);
-  for (std::uint32_t i = 0; i < n_stores; ++i) {
-    auto store = get_store(in);
-    const DeviceId uid = store->device().uid;
-    stores.emplace(uid, std::move(store));
-  }
+  const std::uint64_t n_stores = read_header(in, kPoolMagic, "store count");
+  Bytes buf;
+  codec::Cursor c = next_frame(in, buf, "pool");
+  const std::uint32_t next_volume_id = c.u32();
+  ClusterConfig config = get_config(c);
+  const std::uint32_t n_volumes = c.u32();
+  finish(c, "pool");
+  Stores stores = get_stores(in, buf, n_stores);
 
   StoragePool pool{ClusterConfig{}};
   {
@@ -343,50 +335,55 @@ StoragePool Snapshot::load_pool(std::istream& in) {
     pool.stores_ = std::move(stores);
     pool.next_volume_id_ = next_volume_id;
 
-    const std::uint32_t n_volumes = get_u32(in);
     for (std::uint32_t i = 0; i < n_volumes; ++i) {
-      std::string name = get_string(in);
-      pool.volumes_.emplace(
-          std::move(name),
-          std::make_unique<VirtualDisk>(get_volume_meta(in, pool.stores_)));
+      c = next_frame(in, buf, "volume");
+      std::string name = c.string();
+      pool.volumes_.emplace(std::move(name),
+                            std::make_unique<VirtualDisk>(
+                                get_volume_meta(in, c, buf, pool.stores_)));
     }
   }
   return pool;
 }
 
 void Snapshot::save_file_store(const FileStore& store, std::ostream& out) {
-  out.write(kFileStoreMagic, 8);
-  put_u64(out, store.block_size_);
-  put_u64(out, store.next_block_);
-  put_u64(out, store.free_blocks_.size());
-  for (const std::uint64_t id : store.free_blocks_) put_u64(out, id);
-  put_u32(out, static_cast<std::uint32_t>(store.files_.size()));
+  codec::write_header(out, kFileStoreMagic, store.block_size_);
+  codec::Writer w;
+  w.u64(store.next_block_);
+  w.u32(static_cast<std::uint32_t>(store.free_blocks_.size()));
+  for (const std::uint64_t id : store.free_blocks_) w.u64(id);
+  w.u32(static_cast<std::uint32_t>(store.files_.size()));
   for (const auto& [name, entry] : store.files_) {
-    put_string(out, name);
-    put_u64(out, entry.size);
-    put_u64(out, entry.block_ids.size());
-    for (const std::uint64_t id : entry.block_ids) put_u64(out, id);
+    w.string(name);
+    w.u64(entry.size);
+    w.u32(static_cast<std::uint32_t>(entry.block_ids.size()));
+    for (const std::uint64_t id : entry.block_ids) w.u64(id);
   }
+  flush(out, w);
   save_disk(store.disk_, out);
   if (!out) throw std::runtime_error("Snapshot: write failed");
 }
 
 FileStore Snapshot::load_file_store(std::istream& in) {
-  expect_magic(in, kFileStoreMagic);
-  const std::uint64_t block_size = get_u64(in);
-  const std::uint64_t next_block = get_u64(in);
-  std::vector<std::uint64_t> free_blocks(get_u64(in));
-  for (std::uint64_t& id : free_blocks) id = get_u64(in);
+  const std::uint64_t block_size =
+      read_header(in, kFileStoreMagic, "block size");
+  Bytes buf;
+  codec::Cursor c = next_frame(in, buf, "file table");
+  const std::uint64_t next_block = c.u64();
+  std::vector<std::uint64_t> free_blocks(c.count(8));
+  for (std::uint64_t& id : free_blocks) id = c.u64();
   std::map<std::string, FileStore::FileEntry> files;
-  const std::uint32_t n_files = get_u32(in);
+  const std::uint32_t n_files = c.count(kFileBytes);
   for (std::uint32_t i = 0; i < n_files; ++i) {
-    std::string name = get_string(in);
+    std::string name = c.string();
     FileStore::FileEntry entry;
-    entry.size = get_u64(in);
-    entry.block_ids.resize(get_u64(in));
-    for (std::uint64_t& id : entry.block_ids) id = get_u64(in);
+    entry.size = c.u64();
+    entry.block_ids.resize(c.count(8));
+    for (std::uint64_t& id : entry.block_ids) id = c.u64();
     files.emplace(std::move(name), std::move(entry));
   }
+  finish(c, "file table");
+  if (block_size == 0) throw std::runtime_error("snapshot: zero block size");
   FileStore store(load_disk(in), static_cast<std::size_t>(block_size));
   store.files_ = std::move(files);
   store.free_blocks_ = std::move(free_blocks);

@@ -3,9 +3,12 @@
 // failure flags).  Restart semantics for the simulation stack: a loaded
 // snapshot behaves identically to the original, including degraded state.
 //
-// Format: little-endian, length-prefixed, versioned magic header.  Not a
-// wire protocol -- a local persistence format with a strict version check
-// (disk and pool format version 2: CRC-32C fragment checksums).
+// Format version 3 ("RDSDISK3", "RDSPOOL3", "RDSFSTO2"; layouts in
+// docs/persistence.md) is built from the shared codec (src/util/codec.hpp):
+// a header (magic, a u64, its CRC-32C), then every section -- a store's
+// device record, each fragment, a volume, its block and checksum tables
+// 4,096 entries at a time -- in its own CRC-32C frame.  Damage is a runtime_error, never a
+// parse of unverified bytes; older versions fail with "bad magic/version".
 #pragma once
 
 #include <iosfwd>
@@ -15,6 +18,7 @@
 #include "src/storage/file_store.hpp"
 #include "src/storage/storage_pool.hpp"
 #include "src/storage/virtual_disk.hpp"
+#include "src/util/codec.hpp"
 
 namespace rds {
 
@@ -36,28 +40,34 @@ class Snapshot {
   static void save_disk(const VirtualDisk& disk, std::ostream& out);
 
   /// Restores a disk saved by save_disk.  Throws std::runtime_error on a
-  /// bad magic/version, a truncated stream, or a stored placement kind,
-  /// scheme name or device set that does not build a disk.
+  /// bad magic/version, a truncated stream, a frame that fails its
+  /// checksum, or a stored placement kind, scheme name or device set that
+  /// does not build a disk.
   static VirtualDisk load_disk(std::istream& in);
 
   /// Serializes a pool: shared stores once, then every volume's metadata.
+  /// load_pool throws like load_disk.
   static void save_pool(const StoragePool& pool, std::ostream& out);
   static StoragePool load_pool(std::istream& in);
 
   /// Serializes a file store: the file table, free list and block
   /// allocator, then the underlying disk (save_disk format, embedded).
+  /// load_file_store throws like load_disk.
   static void save_file_store(const FileStore& store, std::ostream& out);
   static FileStore load_file_store(std::istream& in);
 
  private:
-  // One device store's section (needs DeviceStore friendship: the walk
+  // One device store's frames (needs DeviceStore friendship: the walk
   // holds the store's lock).
   static void put_store(std::ostream& out, const DeviceStore& store);
-  // Volume metadata section (needs VirtualDisk friendship; stores are
-  // serialized separately so pool snapshots write shared payloads once).
-  static void put_volume_meta(std::ostream& out, const VirtualDisk& disk);
+  // A volume's frames (needs VirtualDisk friendship; stores are serialized
+  // separately so pool snapshots write shared payloads once).  The volume
+  // frame starts with whatever `w` holds; get_volume_meta reads the rest
+  // of it from `c` (a cursor over `buf`), then the table frames from `in`.
+  static void put_volume_meta(std::ostream& out, codec::Writer& w,
+                              const VirtualDisk& disk);
   static VirtualDisk get_volume_meta(
-      std::istream& in,
+      std::istream& in, codec::Cursor& c, Bytes& buf,
       std::unordered_map<DeviceId, std::shared_ptr<DeviceStore>> stores);
 };
 

@@ -12,16 +12,19 @@
 namespace rds {
 namespace {
 
+constexpr std::uint32_t kCastagnoli = 0x82F63B78u;
+
 using Tables = std::array<std::array<std::uint32_t, 256>, 8>;
 
-/// Slicing-by-8 tables for a reflected polynomial: tables[0] is the classic
-/// byte table, tables[s][i] the CRC of byte i followed by s zero bytes.
-constexpr Tables make_tables(std::uint32_t poly) {
+/// Slicing-by-8 tables for the reflected polynomial: tables[0] is the
+/// classic byte table, tables[s][i] the CRC of byte i followed by s zero
+/// bytes.
+constexpr Tables make_tables() {
   Tables t{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int bit = 0; bit < 8; ++bit) {
-      c = (c & 1u) != 0 ? poly ^ (c >> 1) : c >> 1;
+      c = (c & 1u) != 0 ? kCastagnoli ^ (c >> 1) : c >> 1;
     }
     t[0][i] = c;
   }
@@ -33,35 +36,13 @@ constexpr Tables make_tables(std::uint32_t poly) {
   return t;
 }
 
-template <std::uint32_t Poly>
-constexpr Tables kTables = make_tables(Poly);
-
-constexpr std::uint32_t kIeee = 0xEDB88320u;
-constexpr std::uint32_t kCastagnoli = 0x82F63B78u;
+constexpr Tables kTables = make_tables();
 
 std::uint32_t load_le32(const std::uint8_t* p) noexcept {
   return static_cast<std::uint32_t>(p[0]) |
          static_cast<std::uint32_t>(p[1]) << 8 |
          static_cast<std::uint32_t>(p[2]) << 16 |
          static_cast<std::uint32_t>(p[3]) << 24;
-}
-
-template <std::uint32_t Poly>
-std::uint32_t crc_slicing8(std::span<const std::uint8_t> data,
-                           std::uint32_t seed) noexcept {
-  const Tables& t = kTables<Poly>;
-  std::uint32_t c = ~seed;
-  const std::uint8_t* p = data.data();
-  std::size_t n = data.size();
-  for (; n >= 8; p += 8, n -= 8) {
-    const std::uint32_t lo = load_le32(p) ^ c;
-    const std::uint32_t hi = load_le32(p + 4);
-    c = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
-        t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^
-        t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
-  }
-  for (; n > 0; ++p, --n) c = t[0][(c ^ *p) & 0xFFu] ^ (c >> 8);
-  return ~c;
 }
 
 #ifdef RDS_CRC32C_SSE42
@@ -137,25 +118,32 @@ __attribute__((target("sse4.2"))) std::uint32_t crc32c_sse42(
 
 }  // namespace
 
-std::uint32_t crc32(std::span<const std::uint8_t> data,
-                    std::uint32_t seed) noexcept {
-  return crc_slicing8<kIeee>(data, seed);
-}
-
 std::uint32_t crc32c(std::span<const std::uint8_t> data,
                      std::uint32_t seed) noexcept {
 #ifdef RDS_CRC32C_SSE42
   static const bool hardware = crc_detail::crc32c_hardware();
   if (hardware) return crc32c_sse42(data, seed);
 #endif
-  return crc_slicing8<kCastagnoli>(data, seed);
+  return crc_detail::crc32c_table(data, seed);
 }
 
 namespace crc_detail {
 
 std::uint32_t crc32c_table(std::span<const std::uint8_t> data,
                            std::uint32_t seed) noexcept {
-  return crc_slicing8<kCastagnoli>(data, seed);
+  const Tables& t = kTables;
+  std::uint32_t c = ~seed;
+  const std::uint8_t* p = data.data();
+  std::size_t n = data.size();
+  for (; n >= 8; p += 8, n -= 8) {
+    const std::uint32_t lo = load_le32(p) ^ c;
+    const std::uint32_t hi = load_le32(p + 4);
+    c = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+        t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^
+        t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
+  }
+  for (; n > 0; ++p, --n) c = t[0][(c ^ *p) & 0xFFu] ^ (c >> 8);
+  return ~c;
 }
 
 bool crc32c_hardware() noexcept {

@@ -1,18 +1,15 @@
-// The repo's one checksum family: reflected CRC-32 in two polynomials.
+// The repo's one checksum: CRC-32C (Castagnoli, reflected polynomial
+// 0x82F63B78, init/final ~0).  It checks VirtualDisk fragments and every
+// persisted frame and header (src/util/codec.hpp, docs/persistence.md).
+// Its value for "123456789" is 0xE3069283, so persisted bytes stay
+// verifiable by any external CRC-32C tool.
 //
-//   * crc32()  -- IEEE 802.3 (polynomial 0xEDB88320, init/final ~0).  The
-//     journal's per-record integrity check (docs/persistence.md); its value
-//     for "123456789" is 0xCBF43926, so journal files stay verifiable by
-//     any external CRC tool.
-//   * crc32c() -- Castagnoli (polynomial 0x82F63B78, init/final ~0), the
-//     VirtualDisk fragment checksum.  Its value for "123456789" is
-//     0xE3069283.  On x86-64 CPUs that report SSE4.2 it runs on the `crc32`
-//     instruction; the choice is made once, from the CPU's feature bits.
-//
-// Both polynomials share one slicing-by-8 table routine (eight bytes per
-// step, tables generated at compile time per polynomial).  Unlike the
-// 64-bit mixing hashes in util/hash.hpp -- built for placement
-// experiments -- these are standard checksums.
+// On x86-64 CPUs that report SSE4.2 it runs on the `crc32` instruction;
+// the choice is made once, from the CPU's feature bits.  Elsewhere a
+// slicing-by-8 table routine (eight bytes per step, tables generated at
+// compile time) computes the same values.  Unlike the 64-bit mixing hashes
+// in util/hash.hpp -- built for placement experiments -- this is a
+// standard checksum.
 #pragma once
 
 #include <cstdint>
@@ -20,12 +17,8 @@
 
 namespace rds {
 
-/// CRC-32 (IEEE) of `data`.  Pass a previous return value as `seed` to
-/// continue a running checksum over concatenated buffers.
-[[nodiscard]] std::uint32_t crc32(std::span<const std::uint8_t> data,
-                                  std::uint32_t seed = 0) noexcept;
-
-/// CRC-32C (Castagnoli) of `data`; `seed` chains like crc32()'s.
+/// CRC-32C of `data`.  Pass a previous return value as `seed` to continue
+/// a running checksum over concatenated buffers.
 [[nodiscard]] std::uint32_t crc32c(std::span<const std::uint8_t> data,
                                    std::uint32_t seed = 0) noexcept;
 

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "src/journal/record.hpp"
+#include "src/journal/recovery.hpp"
 #include "src/util/hash.hpp"
 
 namespace rds::journal {
@@ -168,12 +169,36 @@ TEST(JournalWriter, StreamFailureIsStickyUntilRotate) {
 }
 
 TEST(JournalReader, RejectsBadMagic) {
-  std::stringstream stream("NOTAWAL0xxxxxxxxxxxx");
-  JournalReader reader(stream);
-  auto next = reader.next();
-  ASSERT_FALSE(next.ok());
-  EXPECT_EQ(next.error().code, ErrorCode::kCorruption);
-  EXPECT_NE(next.error().message.find("bad magic"), std::string::npos);
+  // A foreign stream and a version-1 journal (IEEE CRC-32 frames) both
+  // fail at the header; strict recovery reports that as kCorruption.
+  std::stringstream current;
+  {
+    JournalWriter writer(current);
+    ASSERT_TRUE(writer.append(make_rebuild()).ok());
+  }
+  std::string version_one = current.str();
+  ASSERT_EQ(version_one.substr(0, 8), "RDSWAL02");
+  version_one[7] = '1';
+  const VirtualDisk disk(ClusterConfig({{1, 100, "a"}, {2, 100, "b"}}),
+                         std::make_shared<MirroringScheme>(2));
+  for (const std::string& bytes :
+       {std::string("NOTAWAL0xxxxxxxxxxxx"), version_one}) {
+    std::stringstream stream(bytes);
+    JournalReader reader(stream);
+    auto next = reader.next();
+    ASSERT_FALSE(next.ok());
+    EXPECT_EQ(next.error().code, ErrorCode::kCorruption);
+    EXPECT_NE(next.error().message.find("bad magic"), std::string::npos);
+
+    std::stringstream ckpt;
+    write_checkpoint(disk, 0, ckpt);
+    std::stringstream journal(bytes);
+    const auto recovered =
+        Recovery::recover_disk(ckpt, &journal, RecoveryOptions{.strict = true});
+    ASSERT_FALSE(recovered.ok());
+    EXPECT_EQ(recovered.error().code, ErrorCode::kCorruption);
+    EXPECT_NE(recovered.error().message.find("bad magic"), std::string::npos);
+  }
 }
 
 TEST(JournalReader, CorruptionIsSticky) {

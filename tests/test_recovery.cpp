@@ -11,9 +11,33 @@
 #include "src/journal/record.hpp"
 #include "src/storage/snapshot.hpp"
 #include "src/util/random.hpp"
+#include "tests/frame_edit.hpp"
 
 namespace rds::journal {
 namespace {
+
+using test::edit_frame;
+using test::kCheckpointBody;
+using test::kSnapshotBody;
+using test::load_error;
+
+/// The kCorruption message recover_disk / recover_pool report for the
+/// checkpoint `bytes` ("(loaded)" when it loads).
+template <typename Recover>
+std::string recover_error(Recover&& recover, const std::string& bytes) {
+  std::stringstream in(bytes);
+  const auto recovered = recover(in, nullptr);
+  if (recovered.ok()) return "(loaded)";
+  EXPECT_EQ(recovered.error().code, ErrorCode::kCorruption);
+  return recovered.error().message;
+}
+
+const auto kRecoverDisk = [](std::istream& in, std::istream* journal) {
+  return Recovery::recover_disk(in, journal);
+};
+const auto kRecoverPool = [](std::istream& in, std::istream* journal) {
+  return Recovery::recover_pool(in, journal);
+};
 
 ClusterConfig base_config() {
   return ClusterConfig({{1, 3000, "a"},
@@ -360,20 +384,20 @@ TEST(Recovery, RemovedPrecomputedKindIsCorruption) {
   VirtualDisk disk(base_config(), std::make_shared<MirroringScheme>(2));
   std::stringstream full;
   write_checkpoint(disk, 0, full);
-  std::string bytes = full.str();
-  // An empty disk's volume section: kind byte, u32 volume id, u32 name
-  // length, scheme name.
-  const std::size_t kind_at = bytes.find(disk.scheme().name()) - 9;
-  ASSERT_EQ(static_cast<std::uint8_t>(bytes[kind_at]),
-            static_cast<std::uint8_t>(disk.placement_kind()));
-  bytes[kind_at] = 4;
-  std::stringstream byte_four(bytes);
-  const auto from_checkpoint = Recovery::recover_disk(byte_four, nullptr);
-  ASSERT_FALSE(from_checkpoint.ok());
-  EXPECT_EQ(from_checkpoint.error().code, ErrorCode::kCorruption);
-  EXPECT_NE(from_checkpoint.error().message.find("unknown placement kind 4"),
+  // An empty disk's volume frame: kind byte, u32 volume id, u32 name
+  // length, scheme name.  Re-sealed, the edit reaches the kind check.
+  const auto set_kind = [&](std::string& payload, std::size_t name_at) {
+    ASSERT_EQ(name_at, 9u);
+    ASSERT_EQ(static_cast<std::uint8_t>(payload[0]),
+              static_cast<std::uint8_t>(disk.placement_kind()));
+    payload[0] = 4;
+  };
+  const std::string name = disk.scheme().name();
+  const std::string from_checkpoint = recover_error(
+      kRecoverDisk, edit_frame(full.str(), kCheckpointBody, name, set_kind));
+  EXPECT_NE(from_checkpoint.find("unknown placement kind 4"),
             std::string::npos)
-      << from_checkpoint.error().message;
+      << from_checkpoint;
 
   std::stringstream ckpt;
   write_checkpoint(disk, 0, ckpt);
@@ -390,71 +414,79 @@ TEST(Recovery, RemovedPrecomputedKindIsCorruption) {
       << from_journal.error().message;
 }
 
-/// `bytes` with the length-prefixed (u32 little-endian) scheme name `from`
-/// respelled as `to`.
-std::string respell_scheme(std::string bytes, const std::string& from,
-                           const std::string& to) {
-  const std::size_t at = bytes.find(from);
-  EXPECT_NE(at, std::string::npos);
-  EXPECT_GE(at, 4u);
-  if (at == std::string::npos || at < 4) return bytes;
-  for (std::size_t i = 0; i < 4; ++i) {
-    bytes[at - 4 + i] = static_cast<char>((to.size() >> (8 * i)) & 0xFF);
-  }
-  return bytes.replace(at, from.size(), to);
+/// `bytes` (frames from `first`) with the length-prefixed (u32
+/// little-endian) scheme name `from` respelled as `to` inside its frame.
+std::string respell_scheme(const std::string& bytes, std::size_t first,
+                           const std::string& from, const std::string& to,
+                           bool sealed = true) {
+  return edit_frame(
+      bytes, first, from,
+      [&](std::string& payload, std::size_t at) {
+        ASSERT_GE(at, 4u);
+        for (std::size_t i = 0; i < 4; ++i) {
+          payload[at - 4 + i] = static_cast<char>(to.size() >> (8 * i));
+        }
+        payload.replace(at, from.size(), to);
+      },
+      sealed);
 }
 
 TEST(Recovery, RemovedXorSchemesAreCorruption) {
   // EVENODD and RDP are no longer built.  A snapshot naming one loads as
   // runtime_error; a checkpoint or a create-volume / set-scheme record
-  // naming one recovers to kCorruption.
+  // naming one recovers to kCorruption.  The respelled frame is re-sealed
+  // so the name reaches the scheme parser; unsealed, the frame checksum
+  // stops it first.
   VirtualDisk disk(base_config(), std::make_shared<MirroringScheme>(2));
   StoragePool pool(base_config());
   pool.create_volume("a", std::make_shared<MirroringScheme>(2));
+  const auto load_disk = [](std::istream& in) {
+    return Snapshot::load_disk(in);
+  };
+  const auto load_pool = [](std::istream& in) {
+    return Snapshot::load_pool(in);
+  };
   for (const std::string removed : {"evenodd(p=5)", "rdp(p=7)"}) {
     SCOPED_TRACE(removed);
     const auto expect_unknown = [](const std::string& message) {
       EXPECT_NE(message.find("unknown scheme kind"), std::string::npos)
           << message;
     };
+    // Unsealed, the frame layer refuses the edit: a checksum mismatch, or
+    // (for the shorter "rdp(p=7)") a torn payload, because the old length
+    // now runs past the end of the stream.
+    const auto expect_frame_damage = [](const std::string& message) {
+      EXPECT_TRUE(message.find("checksum mismatch") != std::string::npos ||
+                  message.find("torn payload") != std::string::npos)
+          << message;
+    };
 
     std::stringstream disk_out;
     Snapshot::save_disk(disk, disk_out);
-    std::stringstream disk_in(
-        respell_scheme(disk_out.str(), "mirror(k=2)", removed));
-    try {
-      (void)Snapshot::load_disk(disk_in);
-      ADD_FAILURE() << "disk snapshot loaded";
-    } catch (const std::runtime_error& e) {
-      expect_unknown(e.what());
-    }
     std::stringstream pool_out;
     Snapshot::save_pool(pool, pool_out);
-    std::stringstream pool_in(
-        respell_scheme(pool_out.str(), "mirror(k=2)", removed));
-    try {
-      (void)Snapshot::load_pool(pool_in);
-      ADD_FAILURE() << "pool snapshot loaded";
-    } catch (const std::runtime_error& e) {
-      expect_unknown(e.what());
-    }
-
     std::stringstream disk_ckpt;
     write_checkpoint(disk, 0, disk_ckpt);
-    std::stringstream disk_damaged(
-        respell_scheme(disk_ckpt.str(), "mirror(k=2)", removed));
-    const auto from_disk = Recovery::recover_disk(disk_damaged, nullptr);
-    ASSERT_FALSE(from_disk.ok());
-    EXPECT_EQ(from_disk.error().code, ErrorCode::kCorruption);
-    expect_unknown(from_disk.error().message);
     std::stringstream pool_ckpt;
     write_checkpoint(pool, 0, pool_ckpt);
-    std::stringstream pool_damaged(
-        respell_scheme(pool_ckpt.str(), "mirror(k=2)", removed));
-    const auto from_pool = Recovery::recover_pool(pool_damaged, nullptr);
-    ASSERT_FALSE(from_pool.ok());
-    EXPECT_EQ(from_pool.error().code, ErrorCode::kCorruption);
-    expect_unknown(from_pool.error().message);
+    for (const bool sealed : {true, false}) {
+      SCOPED_TRACE(sealed ? "sealed" : "unsealed");
+      const auto expect = [&](const std::string& message) {
+        sealed ? expect_unknown(message) : expect_frame_damage(message);
+      };
+      expect(load_error(load_disk,
+                        respell_scheme(disk_out.str(), kSnapshotBody,
+                                       "mirror(k=2)", removed, sealed)));
+      expect(load_error(load_pool,
+                        respell_scheme(pool_out.str(), kSnapshotBody,
+                                       "mirror(k=2)", removed, sealed)));
+      expect(recover_error(kRecoverDisk,
+                           respell_scheme(disk_ckpt.str(), kCheckpointBody,
+                                          "mirror(k=2)", removed, sealed)));
+      expect(recover_error(kRecoverPool,
+                           respell_scheme(pool_ckpt.str(), kCheckpointBody,
+                                          "mirror(k=2)", removed, sealed)));
+    }
 
     for (const Record& rec :
          {make_create_volume("v", removed, PlacementKind::kRedundantShare),
@@ -476,79 +508,97 @@ TEST(Recovery, DamagedSchemeNameInCheckpointIsCorruption) {
   VirtualDisk disk(base_config(), std::make_shared<MirroringScheme>(2));
   std::stringstream full;
   write_checkpoint(disk, 0, full);
-  std::string bytes = full.str();
-  const std::size_t digit_at = bytes.find("mirror(k=2)") + 9;
-  ASSERT_EQ(bytes[digit_at], '2');
-  bytes[digit_at] = 'x';
-  std::stringstream damaged(bytes);
-  const auto recovered = Recovery::recover_disk(damaged, nullptr);
-  ASSERT_FALSE(recovered.ok());
-  EXPECT_EQ(recovered.error().code, ErrorCode::kCorruption);
-  EXPECT_NE(recovered.error().message.find("mirror(k=x)"), std::string::npos)
-      << recovered.error().message;
+  const auto set_digit = [](std::string& payload, std::size_t name_at) {
+    ASSERT_EQ(payload[name_at + 9], '2');
+    payload[name_at + 9] = 'x';
+  };
+  const std::string sealed = recover_error(
+      kRecoverDisk,
+      edit_frame(full.str(), kCheckpointBody, "mirror(k=2)", set_digit));
+  EXPECT_NE(sealed.find("mirror(k=x)"), std::string::npos) << sealed;
+  const std::string unsealed = recover_error(
+      kRecoverDisk, edit_frame(full.str(), kCheckpointBody, "mirror(k=2)",
+                               set_digit, /*sealed=*/false));
+  EXPECT_NE(unsealed.find("checksum mismatch"), std::string::npos)
+      << unsealed;
 }
 
-/// `bytes` with the 8-byte snapshot magic at `at` (expected to read
-/// `current`) turned back into its version-1 spelling.
-std::string as_version_one(std::string bytes, std::size_t at,
-                           const std::string& current) {
+/// `bytes` with the 8-byte magic at `at` (expected to read `current`)
+/// respelled with version digit `version`.
+std::string as_version(std::string bytes, std::size_t at,
+                       const std::string& current, char version) {
   EXPECT_EQ(bytes.substr(at, 8), current);
-  bytes[at + 7] = '1';
+  bytes[at + 7] = version;
   return bytes;
 }
 
 TEST(Recovery, VersionOneSnapshotIsRejected) {
-  // Version 2 stores CRC-32C fragment checksums; a version-1 stream (FNV-1a
-  // values) must fail up front instead of loading a volume whose every
-  // read fails verification.
+  // Every older format fails up front with "bad magic/version" instead of
+  // being parsed under the current layout: version 1 (FNV-1a fragment
+  // checksums) and 2 (unframed sections) of the disk and pool snapshots,
+  // version 1 of the file-store snapshot, and version 1 of the checkpoint
+  // header (IEEE CRC-32).  Behind a checkpoint header, recovery reports
+  // the same failure as kCorruption.
   VirtualDisk disk(base_config(), std::make_shared<MirroringScheme>(2));
   disk.write(1, payload(1, 9));
   StoragePool pool(base_config());
   pool.create_volume("a", std::make_shared<ReedSolomonScheme>(3, 2))
       .write(1, payload(1, 9));
-  const auto expect_bad_version = [](auto&& load, const std::string& bytes) {
-    std::stringstream in(bytes);
-    try {
-      (void)load(in);
-      ADD_FAILURE() << "a version-1 snapshot loaded";
-    } catch (const std::runtime_error& e) {
-      EXPECT_NE(std::string(e.what()).find("bad magic/version"),
-                std::string::npos)
-          << e.what();
-    }
+  FileStore store(
+      VirtualDisk(base_config(), std::make_shared<MirroringScheme>(2)), 64);
+  store.put("f", payload(2, 9));
+  const auto expect_bad_version = [](const std::string& message) {
+    EXPECT_NE(message.find("bad magic/version"), std::string::npos)
+        << message;
+  };
+  const auto load_disk = [](std::istream& in) {
+    return Snapshot::load_disk(in);
+  };
+  const auto load_pool = [](std::istream& in) {
+    return Snapshot::load_pool(in);
+  };
+  const auto load_store = [](std::istream& in) {
+    return Snapshot::load_file_store(in);
+  };
+  const auto recover_store = [](std::istream& in, std::istream* journal) {
+    return Recovery::recover_file_store(in, journal);
   };
 
   std::stringstream disk_out;
   Snapshot::save_disk(disk, disk_out);
-  expect_bad_version([](std::istream& in) { return Snapshot::load_disk(in); },
-                     as_version_one(disk_out.str(), 0, "RDSDISK2"));
   std::stringstream pool_out;
   Snapshot::save_pool(pool, pool_out);
-  expect_bad_version([](std::istream& in) { return Snapshot::load_pool(in); },
-                     as_version_one(pool_out.str(), 0, "RDSPOOL2"));
-
-  // Behind a checkpoint header (magic, watermark, CRC: 20 bytes) recovery
-  // reports the same failure as kCorruption.
+  std::stringstream store_out;
+  Snapshot::save_file_store(store, store_out);
+  // A checkpoint header is 20 bytes: magic, watermark, CRC.
   constexpr std::size_t kHeader = 20;
   std::stringstream disk_ckpt;
   write_checkpoint(disk, 0, disk_ckpt);
-  std::stringstream disk_v1(
-      as_version_one(disk_ckpt.str(), kHeader, "RDSDISK2"));
-  const auto disk_recovered = Recovery::recover_disk(disk_v1, nullptr);
-  ASSERT_FALSE(disk_recovered.ok());
-  EXPECT_EQ(disk_recovered.error().code, ErrorCode::kCorruption);
-  EXPECT_NE(disk_recovered.error().message.find("bad magic/version"),
-            std::string::npos);
-
   std::stringstream pool_ckpt;
   write_checkpoint(pool, 0, pool_ckpt);
-  std::stringstream pool_v1(
-      as_version_one(pool_ckpt.str(), kHeader, "RDSPOOL2"));
-  const auto pool_recovered = Recovery::recover_pool(pool_v1, nullptr);
-  ASSERT_FALSE(pool_recovered.ok());
-  EXPECT_EQ(pool_recovered.error().code, ErrorCode::kCorruption);
-  EXPECT_NE(pool_recovered.error().message.find("bad magic/version"),
-            std::string::npos);
+  std::stringstream store_ckpt;
+  write_checkpoint(store, 0, store_ckpt);
+  for (const char version : {'1', '2'}) {
+    SCOPED_TRACE(version);
+    expect_bad_version(load_error(
+        load_disk, as_version(disk_out.str(), 0, "RDSDISK3", version)));
+    expect_bad_version(load_error(
+        load_pool, as_version(pool_out.str(), 0, "RDSPOOL3", version)));
+    expect_bad_version(recover_error(
+        kRecoverDisk,
+        as_version(disk_ckpt.str(), kHeader, "RDSDISK3", version)));
+    expect_bad_version(recover_error(
+        kRecoverPool,
+        as_version(pool_ckpt.str(), kHeader, "RDSPOOL3", version)));
+  }
+  expect_bad_version(
+      load_error(load_store, as_version(store_out.str(), 0, "RDSFSTO2", '1')));
+  expect_bad_version(recover_error(
+      recover_store, as_version(store_ckpt.str(), kHeader, "RDSFSTO2", '1')));
+  expect_bad_version(recover_error(
+      kRecoverDisk, as_version(disk_ckpt.str(), 0, "RDSCKPT2", '1')));
+  expect_bad_version(recover_error(
+      kRecoverPool, as_version(pool_ckpt.str(), 0, "RDSCKPT2", '1')));
 }
 
 }  // namespace

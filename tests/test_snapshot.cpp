@@ -5,9 +5,14 @@
 #include <sstream>
 
 #include "src/util/random.hpp"
+#include "tests/frame_edit.hpp"
 
 namespace rds {
 namespace {
+
+using test::edit_frame;
+using test::kSnapshotBody;
+using test::load_error;
 
 ClusterConfig pool_config() {
   return ClusterConfig({{1, 3000, "a"},
@@ -55,6 +60,20 @@ TEST(Snapshot, DiskRoundTrip) {
   // The restored disk is fully operational: reshape and rebuild work.
   restored.add_device({9, 4000, "post-restore"});
   EXPECT_EQ(restored.read(7), payload(7, 1));
+}
+
+TEST(Snapshot, TablesLargerThanOneFrameRoundTrip) {
+  // 4,100 blocks and 8,200 checksums: both tables span several frames.
+  VirtualDisk disk(pool_config(), std::make_shared<MirroringScheme>(2));
+  const Bytes small = {1, 2, 3};
+  for (std::uint64_t b = 0; b < 4100; ++b) disk.write(b, small);
+
+  std::stringstream stream;
+  Snapshot::save_disk(disk, stream);
+  VirtualDisk restored = Snapshot::load_disk(stream);
+  EXPECT_EQ(restored.block_count(), 4100u);
+  EXPECT_EQ(restored.read(4099), small);
+  EXPECT_TRUE(restored.scrub().clean());
 }
 
 TEST(Snapshot, DegradedStateSurvivesRoundTrip) {
@@ -136,53 +155,82 @@ TEST(Snapshot, RejectsGarbage) {
 }
 
 TEST(Snapshot, RejectsUnknownPlacementKind) {
-  // An empty disk, so the scheme name appears once: the volume section is
-  // kind byte, u32 volume id, u32 name length, name.
+  // The volume frame of an empty disk holds the only copy of the scheme
+  // name and opens with the kind byte: kind, u32 volume id, u32 name
+  // length, name.  Each edit is re-sealed so it reaches the kind check;
+  // unsealed, the frame checksum stops it first.
   VirtualDisk disk(pool_config(), std::make_shared<MirroringScheme>(2));
   std::stringstream stream;
   Snapshot::save_disk(disk, stream);
   const std::string full = stream.str();
-  const std::size_t name_at = full.find(disk.scheme().name());
-  ASSERT_NE(name_at, std::string::npos);
-  const std::size_t kind_at = name_at - 9;
-  ASSERT_EQ(static_cast<std::uint8_t>(full[kind_at]),
-            static_cast<std::uint8_t>(disk.placement_kind()));
+  const auto load = [](std::istream& in) { return Snapshot::load_disk(in); };
   // 4 was the removed precomputed kind: its byte must not load as any
   // other kind (their placements differ), so it is as unknown as 6.
   for (const std::uint8_t bad : {std::uint8_t{4}, std::uint8_t{6},
                                  std::uint8_t{0x7F}, std::uint8_t{0xFF}}) {
-    std::string damaged = full;
-    damaged[kind_at] = static_cast<char>(bad);
-    std::stringstream in(damaged);
-    EXPECT_THROW((void)Snapshot::load_disk(in), std::runtime_error)
-        << "kind byte " << int{bad};
+    SCOPED_TRACE(int{bad});
+    const auto set_kind = [&](std::string& payload, std::size_t name_at) {
+      ASSERT_EQ(name_at, 9u);
+      ASSERT_EQ(static_cast<std::uint8_t>(payload[0]),
+                static_cast<std::uint8_t>(disk.placement_kind()));
+      payload[0] = static_cast<char>(bad);
+    };
+    const std::string name = disk.scheme().name();
+    EXPECT_NE(load_error(load, edit_frame(full, kSnapshotBody, name, set_kind))
+                  .find("unknown placement kind " + std::to_string(bad)),
+              std::string::npos);
+    EXPECT_NE(load_error(load, edit_frame(full, kSnapshotBody, name, set_kind,
+                                          /*sealed=*/false))
+                  .find("checksum mismatch"),
+              std::string::npos);
   }
 }
 
 TEST(Snapshot, DamagedSchemeNameIsRuntimeError) {
-  // Same layout as above; damage the scheme parameter in place.  A name
+  // Same frame as above; damage the scheme parameter in place.  A name
   // the parser rejects and a parameter the scheme rejects both surface as
-  // the documented runtime_error, never as the parser's invalid_argument.
+  // the documented runtime_error, never as the parser's invalid_argument
+  // (load_error lets any other exception type fail the test).
   VirtualDisk disk(pool_config(), std::make_shared<MirroringScheme>(2));
   std::stringstream stream;
   Snapshot::save_disk(disk, stream);
   const std::string full = stream.str();
-  const std::size_t digit_at = full.find("mirror(k=2)") + 9;
-  ASSERT_EQ(full[digit_at], '2');
+  const auto load = [](std::istream& in) { return Snapshot::load_disk(in); };
   for (const char bad : {'x', '0'}) {
-    std::string damaged = full;
-    damaged[digit_at] = bad;
-    std::stringstream in(damaged);
-    try {
-      (void)Snapshot::load_disk(in);
-      ADD_FAILURE() << "mirror(k=" << bad << ") loaded";
-    } catch (const std::invalid_argument& e) {
-      ADD_FAILURE() << "invalid_argument escaped: " << e.what();
-    } catch (const std::runtime_error& e) {
-      EXPECT_NE(std::string(e.what()).find("snapshot"), std::string::npos)
-          << e.what();
-    }
+    const auto set_digit = [&](std::string& payload, std::size_t name_at) {
+      ASSERT_EQ(payload[name_at + 9], '2');
+      payload[name_at + 9] = bad;
+    };
+    const std::string sealed = load_error(
+        load, edit_frame(full, kSnapshotBody, "mirror(k=2)", set_digit));
+    EXPECT_NE(sealed.find("snapshot: volume"), std::string::npos) << sealed;
+    EXPECT_NE(load_error(load, edit_frame(full, kSnapshotBody, "mirror(k=2)",
+                                          set_digit, /*sealed=*/false))
+                  .find("checksum mismatch"),
+              std::string::npos);
   }
+}
+
+TEST(Snapshot, DuplicateDeviceUidIsRuntimeError) {
+  // ClusterConfig rejects a duplicate uid with invalid_argument; from a
+  // snapshot that is damage, reported as the documented runtime_error.
+  // The device list follows the scheme name: u32 count, then uid u64,
+  // capacity u64, u32 name length and a one-letter name per device.
+  VirtualDisk disk(pool_config(), std::make_shared<MirroringScheme>(2));
+  std::stringstream stream;
+  Snapshot::save_disk(disk, stream);
+  const std::string name = disk.scheme().name();
+  const auto copy_first_uid = [&](std::string& payload, std::size_t name_at) {
+    const std::size_t first = name_at + name.size() + 4;
+    const std::size_t second = first + 8 + 8 + 4 + 1;
+    ASSERT_NE(payload.compare(first, 8, payload, second, 8), 0);
+    payload.replace(second, 8, payload, first, 8);
+  };
+  const std::string message =
+      load_error([](std::istream& in) { return Snapshot::load_disk(in); },
+                 edit_frame(stream.str(), kSnapshotBody, name, copy_first_uid));
+  EXPECT_NE(message.find("duplicate device uid"), std::string::npos)
+      << message;
 }
 
 TEST(Snapshot, SaveDuringReshapeRejected) {
